@@ -1,13 +1,13 @@
 # Developer entry points. `make test` is the tier-1 gate; `make lint`
 # enforces the no-print and metric-name rules in library code; `make
-# check` runs lints + tests.
+# check` runs lints + tests + the bench/ smoke tests.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint check http-smoke bench profile faults serve-bench \
 	parallel-bench tail-demo alerts-demo fleet-demo fleet-bench slo-demo \
-	quant-demo quant-bench
+	quant-demo quant-bench bench-smoke
 
 # tests/test_detector_block.py (the push_block ≡ push_collect
 # bit-identity gate for the serve fast path) rides along here, so
@@ -24,7 +24,15 @@ lint:
 http-smoke:
 	$(PYTHON) scripts/http_smoke.py
 
-check: lint test http-smoke fleet-demo slo-demo quant-demo
+check: lint test bench-smoke http-smoke fleet-demo slo-demo quant-demo
+
+# The serve-stack benchmark's own tests (a tiny orchestrated run of every
+# workload, the A/B pairing, the diff verdicts and the tracing wrappers).
+# The tier-1 suite collects only tests/, yet bench/tests instruments
+# program entry points such as OnlineSosFilter.process, so a change to
+# those must keep it green too.
+bench-smoke:
+	$(PYTHON) -m pytest bench -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

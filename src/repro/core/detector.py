@@ -1065,8 +1065,10 @@ class FallDetector:
         equality across every builtin fault scenario and random block
         splits.  Only the cost changes: repair/clamp/stuck tracking, gap
         synthesis, SOS filtering (one carried-state
-        :func:`~repro.signal.filters.sosfilt` pass per contiguous
-        segment), channel scaling and window assembly (windows are views
+        :meth:`OnlineSosFilter.process
+        <repro.signal.filters.OnlineSosFilter.process>` call — a single
+        compiled-kernel pass — per contiguous segment), channel scaling
+        and window assembly (windows are views
         into one grown history instead of n ring-buffer rolls) run as
         numpy ops over the block, and the inherently sequential fusion
         recurrence runs in one tight scalar pass

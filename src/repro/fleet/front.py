@@ -668,11 +668,9 @@ class FleetFront:
                 self.registry.merge_entries(entries)
                 self._final_reports[shard.index] = report
                 self._final_streams.update(stream_report)
-                for record in spans:
-                    try:
-                        collector.adopt(SpanRecord.from_json(record))
-                    except Exception:  # pragma: no cover - defensive
-                        _logger.exception("could not adopt worker span")
+                # One batch per shard, so in-batch parent links survive
+                # the id remapping.
+                collector.adopt(SpanRecord.from_json(obj) for obj in spans)
                 for entry in entries:
                     if entry.get("type") != "histogram":
                         continue

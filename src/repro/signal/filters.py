@@ -1,11 +1,25 @@
-"""Butterworth low-pass filtering, implemented from first principles.
+"""Butterworth low-pass filtering: first-principles design, compiled filtering.
 
 The paper removes sensor noise with a *fourth-order Butterworth low-pass
-filter at 5 Hz* before segmentation.  This module implements the full
-design chain — analog prototype poles, frequency pre-warping, bilinear
-transform, second-order-section factorisation — plus a zero-phase
-forward-backward filter (``sosfiltfilt``).  The test-suite validates every
-piece against ``scipy.signal``.
+filter at 5 Hz* before segmentation.  The design chain — analog prototype
+poles, frequency pre-warping, bilinear transform, second-order-section
+factorisation — and the steady-state initial conditions are derived here
+from first principles; the test-suite validates them against
+``scipy.signal``.  The filtering itself (``sosfilt``, the zero-phase
+``sosfiltfilt`` and the streaming ``OnlineSosFilter``) runs on scipy's
+compiled direct-form-II-transposed kernel and is bit-identical to
+``scipy.signal.sosfilt``.
+
+``butter_lowpass_sos`` and ``sosfilt_zi`` deliberately stay hand-rolled:
+``scipy.signal.butter(..., output="sos")`` puts the whole gain in the
+first section where ours normalises each section to unit DC gain (the
+coefficients differ by up to 1.96), and ``scipy.signal.sosfilt_zi``
+differs from ours by up to 5.6e-16.  Either swap would change every
+filtered value the archived results were computed from.
+
+scipy is imported lazily, inside the filtering functions: importing
+``scipy.signal`` costs tens of MiB and over a second cold, which a bare
+``import repro.core.detector`` should not pay.
 
 All public filter functions operate on arrays shaped ``(samples,)`` or
 ``(samples, channels)`` and filter along axis 0.
@@ -90,14 +104,29 @@ def butter_lowpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
     return sos
 
 
+def _as_sos(sos) -> np.ndarray:
+    """``sos`` as the C-contiguous float64 ``(n_sections, 6)`` array the
+    compiled kernel requires.  The kernel checks no shapes, so the check
+    lives here."""
+    sos = np.ascontiguousarray(sos, dtype=float)
+    if sos.ndim != 2 or sos.shape[1] != 6:
+        raise ValueError(f"sos must have shape (n_sections, 6), got {sos.shape}")
+    return sos
+
+
 def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None):
     """Causal direct-form-II-transposed filtering along axis 0.
 
     ``zi`` holds per-section state of shape ``(n_sections, 2, channels)``;
     pass the state returned by a previous call to continue a stream.
-    Returns ``(y, zf)``.
+    Returns ``(y, zf)``; output and state are bit-identical to
+    ``scipy.signal.sosfilt(sos, x, axis=0, zi=zi)``, whose compiled kernel
+    this calls directly (skipping the public function's per-call shape
+    bookkeeping).
     """
-    sos = np.asarray(sos, dtype=float)
+    from scipy.signal._sosfilt import _sosfilt
+
+    sos = _as_sos(sos)
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
@@ -105,42 +134,21 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None):
     n_sections = sos.shape[0]
     channels = x.shape[1]
     if zi is None:
-        state = np.zeros((n_sections, 2, channels))
+        state = np.zeros((channels, n_sections, 2))
     else:
-        state = np.array(zi, dtype=float, copy=True)
-        if state.shape != (n_sections, 2, channels):
+        zi = np.asarray(zi, dtype=float)
+        if zi.shape != (n_sections, 2, channels):
             raise ValueError(
-                f"zi must have shape {(n_sections, 2, channels)}, got {state.shape}"
+                f"zi must have shape {(n_sections, 2, channels)}, got {zi.shape}"
             )
-    # One fused pass over time, cascading the sections per sample, instead
-    # of one full pass per section.  The per-(section, sample) arithmetic
-    # and its order are unchanged — DF2T state for section s at sample n
-    # depends only on section s-1's outputs up to n — so results are
-    # bit-identical to the section-major loop while skipping the
-    # per-section intermediate arrays (this runs on every streaming
-    # sample, so constant factors matter).
-    coeffs = [
-        (sos[s, 0], sos[s, 1], sos[s, 2], sos[s, 4], sos[s, 5])
-        for s in range(n_sections)
-    ]
-    z1s = [state[s, 0].copy() for s in range(n_sections)]
-    z2s = [state[s, 1].copy() for s in range(n_sections)]
-    y = np.empty_like(x)
-    for n in range(x.shape[0]):
-        v = x[n]
-        for s, (b0, b1, b2, a1, a2) in enumerate(coeffs):
-            z1 = z1s[s]
-            yn = b0 * v + z1
-            z1s[s] = b1 * v - a1 * yn + z2s[s]
-            z2s[s] = b2 * v - a2 * yn
-            v = yn
-        y[n] = v
-    for s in range(n_sections):
-        state[s, 0] = z1s[s]
-        state[s, 1] = z2s[s]
+        # Always a copy: the kernel updates the state in place.
+        state = np.array(zi.transpose(2, 0, 1), order="C")
+    y = np.array(x.T, order="C")
+    _sosfilt(sos, y, state)
+    zf = state.transpose(1, 2, 0)
     if squeeze:
-        return y[:, 0], state
-    return y, state
+        return y[0], zf
+    return y.T, zf
 
 
 def sosfilt_zi(sos: np.ndarray) -> np.ndarray:
@@ -227,12 +235,16 @@ class OnlineSosFilter:
     detector sees samples one at a time; this class keeps per-section state
     across :meth:`process` calls.  State is initialised at steady state for
     the first sample to avoid the gravity-offset start-up transient.
+
+    The state is held as a C-contiguous ``(channels, n_sections, 2)``
+    array — the compiled kernel's own layout — so each block costs one
+    kernel call and no state reshuffling.
     """
 
     def __init__(self, sos: np.ndarray, channels: int):
-        self.sos = np.asarray(sos, dtype=float)
+        self.sos = _as_sos(sos)
         self.channels = int(channels)
-        self._zi_template = sosfilt_zi(self.sos)[:, :, None]
+        self._zi_template = sosfilt_zi(self.sos)
         self._state: np.ndarray | None = None
 
     @property
@@ -252,10 +264,12 @@ class OnlineSosFilter:
         the start-of-stream bootstrap.
         """
         sample = np.asarray(sample, dtype=float).reshape(self.channels)
-        self._state = self._zi_template * sample
+        self._state = self._zi_template * sample[:, None, None]
 
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Filter a block of samples ``(n, channels)`` (or a single ``(channels,)``)."""
+        from scipy.signal._sosfilt import _sosfilt
+
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if samples.shape[1] != self.channels:
             raise ValueError(
@@ -266,6 +280,7 @@ class OnlineSosFilter:
             # re-priming from the first sample of this block.
             self._state = None
         if self._state is None:
-            self._state = self._zi_template * samples[0]
-        y, self._state = sosfilt(self.sos, samples, self._state)
-        return y
+            self._state = self._zi_template * samples[0][:, None, None]
+        y = np.array(samples.T, order="C")
+        _sosfilt(self.sos, y, self._state)
+        return y.T

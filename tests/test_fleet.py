@@ -1,5 +1,6 @@
 """Sharded fleet front: routing, backpressure, supervision, failover."""
 
+import logging
 import time
 import zlib
 
@@ -9,6 +10,13 @@ import pytest
 from repro.core.detector import DetectorConfig
 from repro.experiments import MagnitudeProbeModel
 from repro.fleet import FleetConfig, FleetFront
+from repro.obs import (
+    clear_trace,
+    disable_tracing,
+    enable_tracing,
+    get_collector,
+    span,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.engine import ServeConfig, ServeEngine
 
@@ -240,6 +248,16 @@ class TestFailover:
         assert front.worker_crashes == 1
 
 
+class _SpanningProbe(MagnitudeProbeModel):
+    """Probe model that records a parent/child span pair per predict,
+    so shipped-back worker spans carry in-batch parent links."""
+
+    def predict(self, x):
+        with span("probe/predict"):
+            with span("probe/score"):
+                return super().predict(x)
+
+
 class TestShipBack:
     def test_close_merges_worker_metrics_and_latency(self):
         streams = _streams(n_streams=4, n_samples=300)
@@ -265,3 +283,32 @@ class TestShipBack:
         assert windows > 0
         assert report["rounds"] > 0
         assert len(front.shard_reports()) == 2
+
+    def test_close_adopts_worker_spans_with_parent_links(self, caplog):
+        streams = _streams(n_streams=4, n_samples=300)
+        enable_tracing()
+        clear_trace()
+        try:
+            front = FleetFront(
+                _SpanningProbe(),
+                FleetConfig(n_shards=2, serve=_serve_config()),
+                registry=MetricsRegistry(),
+            )
+            try:
+                _feed(front, streams, front.pump)
+                front.drain()
+            finally:
+                with caplog.at_level(logging.DEBUG, logger="repro"):
+                    front.close()
+            records = get_collector().records()
+        finally:
+            disable_tracing()
+            clear_trace()
+        assert not caplog.records
+        by_id = {r.span_id: r for r in records}
+        assert len(by_id) == len(records)
+        outer = [r for r in records if r.name == "probe/predict"]
+        inner = [r for r in records if r.name == "probe/score"]
+        assert outer and len(inner) == len(outer)
+        for record in inner:
+            assert by_id[record.parent_id].name == "probe/predict"

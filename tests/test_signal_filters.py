@@ -46,24 +46,39 @@ class TestDesign:
             butter_lowpass_sos(4, 0.0, 100.0)
 
 
+def _scipy_pass(sos, x, zi=None):
+    """One public ``scipy.signal.sosfilt`` pass along axis 0 -> (y, zf)."""
+    if zi is None:
+        zi = np.zeros((sos.shape[0], 2, x.shape[1]))
+    return scipy_signal.sosfilt(sos, x, axis=0, zi=zi)
+
+
 class TestSosfilt:
     def test_matches_scipy_exactly(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(400, 3)) + 2.0
         sos = butter_lowpass_sos(4, 5.0, 100.0)
-        ours, _ = sosfilt(sos, x)
-        theirs = scipy_signal.sosfilt(sos, x, axis=0)
-        np.testing.assert_allclose(ours, theirs, atol=1e-12)
+        ours, ours_zf = sosfilt(sos, x)
+        theirs, theirs_zf = _scipy_pass(sos, x)
+        assert np.array_equal(ours, theirs)
+        assert np.array_equal(ours_zf, theirs_zf)
 
     def test_state_continuation_equals_one_shot(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(300, 2))
         sos = butter_lowpass_sos(4, 5.0, 100.0)
-        full, _ = sosfilt(sos, x)
         first, state = sosfilt(sos, x[:120])
-        second, _ = sosfilt(sos, x[120:], state)
-        np.testing.assert_allclose(np.concatenate([first, second]), full,
-                                   atol=1e-12)
+        second, zf = sosfilt(sos, x[120:], state)
+        full, full_zf = _scipy_pass(sos, x)
+        assert np.array_equal(np.concatenate([first, second]), full)
+        assert np.array_equal(zf, full_zf)
+
+    def test_caller_state_is_not_modified(self):
+        sos = butter_lowpass_sos(4, 5.0, 100.0)
+        zi = sosfilt_zi(sos)[:, :, None] * np.array([1.0])
+        before = zi.copy()
+        sosfilt(sos, np.ones((10, 1)) * 3.0, zi)
+        assert np.array_equal(zi, before)
 
     def test_zi_matches_scipy(self):
         sos = butter_lowpass_sos(4, 5.0, 100.0)
@@ -87,6 +102,12 @@ class TestSosfilt:
         sos = butter_lowpass_sos(4, 5.0, 100.0)
         with pytest.raises(ValueError, match="zi"):
             sosfilt(sos, np.zeros((10, 2)), np.zeros((1, 2, 2)))
+
+    def test_bad_sos_shape_rejected(self):
+        with pytest.raises(ValueError, match="sos"):
+            sosfilt(np.ones((2, 5)), np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="sos"):
+            OnlineSosFilter(np.ones(6), channels=2)
 
 
 class TestFiltfilt:
@@ -140,8 +161,9 @@ class TestOnlineFilter:
         streamed = np.vstack([online.process(x[i]) for i in range(len(x))])
         # Reference: causal filtering with first-sample steady-state init.
         zi = sosfilt_zi(sos)[:, :, None] * x[0]
-        reference, _ = sosfilt(sos, x, zi)
-        np.testing.assert_allclose(streamed, reference, atol=1e-10)
+        reference, reference_zf = _scipy_pass(sos, x, zi)
+        assert np.array_equal(streamed, reference)
+        assert np.array_equal(online._state.transpose(1, 2, 0), reference_zf)
 
     def test_no_startup_transient_on_constant(self):
         sos = butter_lowpass_sos(4, 5.0, 100.0)
@@ -215,3 +237,56 @@ class TestWarmUp:
         online = self._filter(channels=9)
         y = online.process(np.tile(level, (15, 1)))
         np.testing.assert_allclose(y, np.tile(level, (15, 1)), atol=1e-8)
+
+
+_STREAM_OP = st.one_of(
+    # (op, rows, NaN row index — outside the block means no NaN)
+    st.tuples(st.just("process"), st.integers(1, 30), st.integers(-1, 40)),
+    st.tuples(st.just("reset"), st.just(0), st.just(-1)),
+    st.tuples(st.just("reprime"), st.just(0), st.just(-1)),
+)
+
+
+class TestOnlineMatchesScipy:
+    """``OnlineSosFilter`` against public ``scipy.signal.sosfilt``: each
+    primed segment of a stream — from a first sample, a ``reprime`` or a
+    non-finite self-heal up to the next restart — equals one scipy pass
+    over that segment bit for bit, in output and in state.  Also pins the
+    private compiled kernel the filter calls to the public API."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(_STREAM_OP, min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_every_primed_segment_is_one_scipy_pass(self, seed, ops):
+        rng = np.random.default_rng(seed)
+        channels = 9
+        sos = butter_lowpass_sos(4, 5.0, 100.0)
+        template = sosfilt_zi(sos)[:, :, None]
+        online = OnlineSosFilter(sos, channels=channels)
+        zi = None       # the expected segment's initial state
+        rows = []       # the expected segment's input so far
+        for op, n, nan_row in ops:
+            if op == "reset":
+                online.reset()
+                zi, rows = None, []
+                continue
+            if op == "reprime":
+                sample = rng.normal(size=channels) * 5.0
+                online.reprime(sample)
+                zi, rows = template * sample, []
+                continue
+            block = rng.normal(size=(n, channels)) * 5.0 + 9.81
+            if nan_row < n:
+                block[nan_row, rng.integers(0, channels)] = np.nan
+            if zi is not None and rows:
+                _, zf = _scipy_pass(sos, np.vstack(rows), zi)
+                if not np.isfinite(zf).all():
+                    zi = None   # poisoned: the filter must self-heal
+            if zi is None:
+                zi, rows = template * block[0], []
+            rows.append(block)
+            y = online.process(block)
+            expected, zf = _scipy_pass(sos, np.vstack(rows), zi)
+            assert np.array_equal(y, expected[-n:], equal_nan=True)
+            assert np.array_equal(online._state.transpose(1, 2, 0), zf,
+                                  equal_nan=True)
