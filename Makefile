@@ -9,9 +9,10 @@ export PYTHONPATH := src
 	parallel-bench tail-demo alerts-demo fleet-demo fleet-bench slo-demo \
 	quant-demo quant-bench bench-smoke
 
-# tests/test_detector_block.py (the push_block ≡ push_collect
-# bit-identity gate for the serve fast path) rides along here, so
-# `make check` always re-proves the identity.
+# tests/test_detector_block.py (the bit-identity gate of push_block,
+# the detector's one ingest path, against the per-sample oracle in
+# tests/detector_oracle.py) rides along here, so `make check` always
+# re-proves the identity.
 test:
 	$(PYTHON) -m pytest -x -q
 

@@ -7,10 +7,11 @@ real time uses the forward-only Butterworth — same coefficients), keeps a
 ring buffer one window long and runs the CNN every hop.
 
 Unlike the offline pipeline, the live path cannot assume a perfect
-stream.  :meth:`FallDetector.push` therefore validates and repairs every
-sample (NaN/Inf → hold-last, rail clamping), bridges short timestamp gaps
-by interpolation, resets and re-primes its streaming state after long
-ones, and tracks a three-state health machine:
+stream.  :meth:`FallDetector.push_block` — the one ingest path, which
+``push``/``push_collect`` call with a single row — therefore validates
+and repairs every sample (NaN/Inf → hold-last, rail clamping), bridges
+short timestamp gaps by interpolation, resets and re-primes its streaming
+state after long ones, and tracks a three-state health machine:
 
 ``healthy``
     Clean stream, CNN path nominal.
@@ -43,8 +44,10 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,6 +85,9 @@ _HEALTH_LEVEL = {HEALTHY: 0, DEGRADED: 1, FAULT: 2}
 #: 1 g gravity on z for the accelerometer, zero rates for the gyro.
 _REPAIR_DEFAULTS = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 _REPAIR_DEFAULTS.setflags(write=False)
+#: Stand-in predecessor of the first sample ever: NaN equals nothing.
+_NAN_ROW = np.full((1, 6), np.nan)
+_NAN_ROW.setflags(write=False)
 
 
 def _running_streak(cond: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -92,6 +98,8 @@ def _running_streak(cond: np.ndarray, start: np.ndarray) -> np.ndarray:
     last False row, and runs unbroken since row 0 continue the carried
     ``start``.  Exact integer arithmetic — bit-identity is trivial.
     """
+    if cond.shape[0] == 1:
+        return np.where(cond, start + 1, 0)
     idx = np.arange(1, cond.shape[0] + 1)[:, None]
     last_false = np.maximum.accumulate(np.where(cond, 0, idx), axis=0)
     streak = idx - last_false
@@ -151,9 +159,9 @@ class DetectorConfig:
     #: Per-stage latency attribution (:class:`repro.obs.StageTimer`):
     #: paired clock reads around each pipeline stage, flushed into
     #: off-registry histograms on every completed window.  The clock
-    #: reads cannot perturb the data path, so the ``push_block ≡
-    #: push_collect`` bit-identity holds with timing enabled; the
-    #: overhead is a handful of ``perf_counter`` calls per sample.
+    #: reads cannot perturb the data path, so ``push_block`` stays
+    #: bit-identical to the per-sample oracle with timing enabled; the
+    #: overhead is a handful of ``perf_counter`` calls per block.
     stage_timing: bool = True
 
     def __post_init__(self):
@@ -170,6 +178,10 @@ class DetectorConfig:
             raise ValueError("sensor ranges must be positive")
         if self.max_gap_ms < 0:
             raise ValueError("max_gap_ms must be non-negative")
+        if self.stuck_channel_samples < 1 or self.dead_sensor_samples < 1:
+            raise ValueError(
+                "stuck_channel_samples and dead_sensor_samples must be >= 1"
+            )
         if not (1 <= self.degraded_after_violations
                 <= self.shed_after_violations):
             raise ValueError(
@@ -205,13 +217,13 @@ class Detection:
 
 @dataclass(frozen=True)
 class WindowRequest:
-    """One CNN window inference staged by :meth:`FallDetector.push_collect`.
+    """One CNN window inference staged by :meth:`FallDetector.push_block`.
 
     Captures everything the deferred decision needs at staging time: a
     *copy* of the filtered/scaled window (the ring buffer keeps moving),
     the sample index and timestamp the eventual :class:`Detection` must
     carry, and whether the magnitude fallback fired on that sample (so a
-    failed inference can fall back exactly like the inline path).  Pass it
+    failed inference can still fall back on that evidence).  Pass it
     back to :meth:`FallDetector.complete` with the model's probability.
     """
 
@@ -258,18 +270,13 @@ class MagnitudeFallback:
         self._mag_min = np.inf
         self._mag_max = -np.inf
 
-    def push(self, accel_g: np.ndarray) -> bool:
+    def push(self, accel_g) -> bool:
         """Feed one repaired accel sample; True when the dip+range fires."""
         # math.sqrt over an explicit sum matches np.linalg.norm bitwise on
         # a 3-vector (same left-to-right accumulation) at a fraction of
-        # the per-call dispatch cost — this runs once per sample.  The
-        # block path vectorises the same expression (elementwise, same
-        # association) and feeds push_mag directly.
+        # the per-call dispatch cost — this runs once per sample.
         x, y, z = accel_g
-        return self.push_mag(math.sqrt(x * x + y * y + z * z))
-
-    def push_mag(self, mag: float) -> bool:
-        """Feed one precomputed magnitude (see :meth:`push`)."""
+        mag = math.sqrt(x * x + y * y + z * z)
         self._window.append(mag)
         smooth = sum(self._window) / len(self._window)
         if smooth < self.low_g:
@@ -328,8 +335,8 @@ class FallDetector:
         sos = butter_lowpass_sos(cfg.filter_order, cfg.filter_cutoff_hz, cfg.fs)
         self._filter = OnlineSosFilter(sos, channels=9)
         self._fusion = ComplementaryFilter(fs=cfg.fs)
-        # Hot-path constants: push() runs per sample, so resolve the
-        # config-derived values once instead of per call.
+        # Hot-path constants: push_block() runs per call (often one
+        # sample), so resolve the config-derived values once.
         self._window_n = cfg.window_samples
         self._hop_n = cfg.hop_samples
         self._deadline = cfg.effective_deadline_ms
@@ -338,6 +345,8 @@ class FallDetector:
         self._scales = np.asarray(cfg.channel_scales, dtype=float)
         self._rails = np.array([cfg.accel_range_g] * 3
                                + [cfg.gyro_range_dps] * 3)
+        self._streak_limits = np.array([cfg.stuck_channel_samples] * 6
+                                       + [cfg.dead_sensor_samples] * 2)
         self._fallback = MagnitudeFallback(fs=cfg.fs) if cfg.fallback else None
         # Deadline monitor: one latency sample per window inference.  A
         # perf_counter pair per hop (every ~200 ms of stream) is noise next
@@ -393,15 +402,20 @@ class FallDetector:
         self._cnn_shed = False
         self._shed_hops_left = 0
         # push_block pins the dead-sensor flags to each row's epoch while
-        # replaying decisions (the streak arrays already hold end-of-block
-        # state by then); None outside the block control loop.
+        # replaying decisions (the streaks already hold end-of-block state
+        # by then); None outside the block control loop.
         self._dead_override: tuple[bool, bool] | None = None
+        # The block's sample rows not yet handed to the recorder (see
+        # _record_rows); None outside the block control loop.
+        self._rows: tuple | None = None
+        self._rows_done = 0
         self._last_t: float | None = None
         self._last_raw: np.ndarray | None = None   # last repaired 6-vector
         self._prev_fill_anchor: np.ndarray | None = None
         self._prev_raw_exact: np.ndarray | None = None
-        self._channel_stuck_streak = np.zeros(6, dtype=int)
-        self._sensor_bad_streak = np.zeros(2, dtype=int)  # accel, gyro
+        # Exact-repeat (or non-finite) run lengths: six channels, then the
+        # accel and gyro "every channel stuck or bad" runs.
+        self._streaks = np.zeros(8, dtype=int)
         self.repaired_samples = 0
         self.saturated_samples = 0
         self.gap_filled_samples = 0
@@ -451,7 +465,7 @@ class FallDetector:
         ``recovery_samples`` clean samples pass — degraded-then-healthy,
         never silently healthy.
         """
-        if last_t is not None:
+        if last_t is not None and math.isfinite(last_t):
             self._last_t = float(last_t)
         self._update_health(anomaly=True)
 
@@ -537,158 +551,17 @@ class FallDetector:
     # ------------------------------------------------------------------
     # hardening internals
     # ------------------------------------------------------------------
-    def _validate(self, accel: np.ndarray, gyro: np.ndarray):
-        """Repair non-finite readings and clamp to the sensor rails.
-
-        Returns ``(accel, gyro, anomaly)``.  Non-finite entries hold the
-        last repaired value (bootstrap: 1 g gravity for accel, zero rate
-        for gyro); out-of-range entries clip.  Also feeds the stuck-channel
-        and dead-sensor trackers.
-        """
-        cfg = self.config
-        raw = np.concatenate([accel, gyro])
-        exact = raw.copy()
-        bad = ~np.isfinite(raw)
-        anomaly = False
-        if bad.any():
-            if self._last_raw is not None:
-                raw[bad] = self._last_raw[bad]
-            else:
-                raw[bad] = _REPAIR_DEFAULTS[bad]
-            self.repaired_samples += 1
-            self._counter("repaired_samples").inc()
-            anomaly = True
-        rails = self._rails
-        clipped = np.abs(raw) > rails
-        if clipped.any():
-            raw = np.clip(raw, -rails, rails)
-            self.saturated_samples += 1
-            self._counter("saturated_samples").inc()
-            anomaly = True
-        # Stuck-at tracking on the *exact* incoming values: genuine IMU
-        # noise never repeats bit-identically, so an exact repeat streak
-        # marks a frozen channel; a non-finite reading also counts against
-        # its sensor.
-        if self._prev_raw_exact is not None:
-            same = np.zeros(6, dtype=bool)
-            both_finite = np.isfinite(exact) & np.isfinite(self._prev_raw_exact)
-            same[both_finite] = (
-                exact[both_finite] == self._prev_raw_exact[both_finite]
-            )
-            stuck_or_bad = same | bad
-            self._channel_stuck_streak = np.where(
-                stuck_or_bad, self._channel_stuck_streak + 1, 0
-            )
-        self._prev_raw_exact = exact
-        for s, sl in enumerate((slice(0, 3), slice(3, 6))):
-            if (self._channel_stuck_streak[sl] >= 1).all() or bad[sl].all():
-                self._sensor_bad_streak[s] += 1
-            else:
-                self._sensor_bad_streak[s] = 0
-        if (self._channel_stuck_streak >= cfg.stuck_channel_samples).any():
-            anomaly = True
-        self._last_raw = raw
-        return raw[:3], raw[3:], anomaly
-
     @property
     def accel_dead(self) -> bool:
         if self._dead_override is not None:
             return self._dead_override[0]
-        return bool(
-            self._sensor_bad_streak[0] >= self.config.dead_sensor_samples
-        )
+        return bool(self._streaks[6] >= self.config.dead_sensor_samples)
 
     @property
     def gyro_dead(self) -> bool:
         if self._dead_override is not None:
             return self._dead_override[1]
-        return bool(
-            self._sensor_bad_streak[1] >= self.config.dead_sensor_samples
-        )
-
-    def _handle_timestamp(self, t: float | None) -> tuple[int, bool, bool]:
-        """Classify the inter-sample interval.
-
-        Returns ``(n_fill, long_gap, anomaly)``: how many missing samples
-        to synthesise, whether the gap exceeded ``max_gap_ms`` (stream
-        reset required), and whether anything about the clock was off.
-        """
-        if self._last_t is None:
-            return 0, False, False
-        if t is None:
-            # An untimestamped sample inside a timestamped stream: the
-            # clock evidence for this interval is gone, so the caller
-            # advances ``_last_t`` by one nominal period (keeping the gap
-            # and clock checks armed for the *next* sample) and the lapse
-            # itself counts as a clock anomaly.
-            self.clock_anomalies += 1
-            self._counter("clock_anomalies").inc()
-            return 0, False, True
-        cfg = self.config
-        dt_nom = self._dt_nom
-        dt = t - self._last_t
-        if dt < 0.5 * dt_nom:
-            # Early, duplicate or backwards timestamp: process the sample,
-            # note the clock anomaly.
-            self.clock_anomalies += 1
-            self._counter("clock_anomalies").inc()
-            return 0, False, True
-        missing = int(round(dt / dt_nom)) - 1
-        if missing <= 0:
-            return 0, False, False
-        if dt * 1000.0 > cfg.max_gap_ms:
-            return 0, True, True
-        return missing, False, True
-
-    def _reset_stream_state(self) -> None:
-        """Long gap: drop filter/fusion/window state and re-prime.
-
-        The filter re-initialises at steady state from the next sample and
-        the CNN stays silent until its window refills (warm-up); the
-        fallback keeps guarding throughout.
-        """
-        self._init_stream_state()
-        self.stream_resets += 1
-        self._counter("stream_resets").inc()
-
-    def _ingest(self, accel: np.ndarray, gyro: np.ndarray) -> bool:
-        """Fuse, filter, scale and buffer one sample; True when a window
-        inference is due (first full window, then every hop)."""
-        st = self.stages
-        clk = st.clock if st is not None else None
-        if clk is not None:
-            t0 = clk()
-        euler = self._fusion.update(accel, gyro)
-        if clk is not None:
-            t1 = clk()
-            st.add("fusion", t1 - t0)
-        raw = np.concatenate([accel, gyro, euler])
-        filtered = self._filter.process(raw[None, :])[0]
-        if clk is not None:
-            t2 = clk()
-            st.add("filter", t2 - t1)
-        filtered = filtered / self._scales
-        # Ring-buffer shift (window lengths are tens of samples; a roll is
-        # cheap and keeps the window contiguous for the model).
-        self._buffer[:-1] = self._buffer[1:]
-        self._buffer[-1] = filtered
-        if self._filled < self._window_n:
-            self._filled += 1
-            if self._filled < self._window_n:
-                due = False
-            else:
-                self._since_last_inference = 0  # first full window: infer now
-                due = True
-        else:
-            self._since_last_inference += 1
-            if self._since_last_inference < self._hop_n:
-                due = False
-            else:
-                self._since_last_inference = 0
-                due = True
-        if clk is not None:
-            st.add("window", clk() - t2)
-        return due
+        return bool(self._streaks[7] >= self.config.dead_sensor_samples)
 
     @property
     def _cnn_available(self) -> bool:
@@ -733,44 +606,32 @@ class FallDetector:
             )
             self._health = new
             if self.recorder is not None:
+                self._record_rows(self._sample_index)
                 self.recorder.record_health(self._sample_index, current, new)
+
+    def _record_rows(self, before: int | None = None) -> None:
+        """Hand the recorder the block's unrecorded sample rows whose
+        sample index is below ``before`` (all of them when ``None``).
+
+        Health and decision events call this first, so every event lands
+        after the samples that precede it and ahead of its own sample —
+        the order a one-sample-at-a-time pipeline records.
+        """
+        if self._rows is None:
+            return
+        index, t, accel, gyro, repaired, anomaly, health = self._rows
+        k0 = self._rows_done
+        k1 = len(index) if before is None else bisect_left(index, before, k0)
+        if k1 > k0:
+            self.recorder.record_sample(
+                index[k0:k1], t[k0:k1], accel[k0:k1], gyro[k0:k1],
+                repaired[k0:k1], anomaly[k0:k1], health[k0:k1])
+            self._rows_done = k1
 
     def _shed_cnn(self) -> None:
         self._cnn_shed = True
         self._shed_hops_left = self.config.shed_retry_hops
         self._hit_streak = 0
-
-    def _stage(self, window_due: bool, fallback_hit: bool,
-               time_s: float, *, window_ready: bool | None = None,
-               window: np.ndarray | None = None) -> WindowRequest | None:
-        """Pre-inference half of a decision: shed-probe bookkeeping, then
-        stage a :class:`WindowRequest` when a CNN inference is due.
-
-        The block path passes ``window_ready`` (each row's view of the
-        warm-up state) and ``window`` (a view into the grown history)
-        explicitly; the per-sample path reads both off the live ring
-        buffer.
-        """
-        if window_ready is None:
-            window_ready = self._filled >= self._window_n
-        if not (window_due and window_ready):
-            return None
-        if self._cnn_shed:
-            # Load shedding: skip the CNN for shed_retry_hops hops, then
-            # give it one probe inference to prove it recovered.
-            self._shed_hops_left -= 1
-            if self._shed_hops_left <= 0:
-                self._cnn_shed = False
-                self._consecutive_violations = 0
-        if self._cnn_available:
-            return WindowRequest(
-                window=(self._buffer.copy() if window is None
-                        else window.copy()),
-                sample_index=self._sample_index,
-                time_s=time_s,
-                fallback_hit=fallback_hit,
-            )
-        return None
 
     def _fallback_decide(self, fallback_hit: bool, time_s: float,
                          sample_index: int,
@@ -787,6 +648,7 @@ class FallDetector:
                 source="fallback",
             )
             if self.recorder is not None:
+                self._record_rows(sample_index)
                 self.recorder.record_decision(detection)
             return detection
         return None
@@ -805,9 +667,8 @@ class FallDetector:
         ``latency_ms`` feeds the deadline monitor (the micro-batching
         engine charges every window the wall-clock of its whole batch —
         the result is not available any earlier).  ``failed=True`` reports
-        that the model raised: the CNN is shed exactly like the inline
-        path, and the staged fallback evidence still guards the sample.
-        Mirrors the inline ``push`` decision bit for bit; never raises.
+        that the model raised: the CNN is shed, and the staged fallback
+        evidence still guards the sample.  Never raises.
         """
         if self.stages is not None:
             # One completed window closes out one attribution sample: the
@@ -896,39 +757,40 @@ class FallDetector:
         latency_ms = 1000.0 * (time.perf_counter() - t0)
         return self.complete(request, prob, latency_ms=latency_ms)
 
-    def _decide(self, window_due: bool, fallback_hit: bool, time_s: float,
-                collect: list | None = None, *,
-                window_ready: bool | None = None,
-                window: np.ndarray | None = None) -> Detection | None:
-        """Turn this sample's evidence into (at most) one detection.
+    def _decide(self, window: np.ndarray | None, fallback_hit: bool,
+                time_s: float, window_ready: bool,
+                requests: list) -> Detection | None:
+        """Turn one row's evidence into (at most) one detection.
 
-        With ``collect`` (deferred mode) a due CNN window is appended to
-        the list as a :class:`WindowRequest` instead of being inferred
-        here — the caller owns running the model and feeding the result to
-        :meth:`complete`.  ``window_ready`` / ``window`` carry the block
-        path's per-row state (see :meth:`_stage`).
+        ``window`` is the full window when a CNN inference is due on this
+        row (``None`` otherwise).  The pre-inference half of the decision
+        stages a :class:`WindowRequest` holding a copy of it into
+        ``requests`` — the caller runs the model and feeds the result to
+        :meth:`complete` — and the fallback decides every row the CNN
+        does not take.
         """
         st = self.stages
         clk = st.clock if st is not None else None
         if clk is not None:
             t0 = clk()
-        if window_ready is None:
-            window_ready = self._filled >= self._window_n
-        request = self._stage(window_due, fallback_hit, time_s,
-                              window_ready=window_ready, window=window)
-        if request is not None:
-            if collect is not None:
-                collect.append(request)
-                if clk is not None:
-                    st.add("decision", clk() - t0)
-                return None
-            if clk is not None:
-                # The model run times itself into the inference stage via
-                # `complete`; only the staging cost lands in decision.
-                st.add("decision", clk() - t0)
-            return self._run_model(request)
-        hit = self._fallback_decide(fallback_hit, time_s,
-                                    self._sample_index, window_ready)
+        hit = None
+        if window is not None and self._cnn_shed:
+            # Load shedding: skip the CNN for shed_retry_hops hops, then
+            # give it one probe inference to prove it recovered.
+            self._shed_hops_left -= 1
+            if self._shed_hops_left <= 0:
+                self._cnn_shed = False
+                self._consecutive_violations = 0
+        if window is not None and self._cnn_available:
+            requests.append(WindowRequest(
+                window=window.copy(),
+                sample_index=self._sample_index,
+                time_s=time_s,
+                fallback_hit=fallback_hit,
+            ))
+        else:
+            hit = self._fallback_decide(fallback_hit, time_s,
+                                        self._sample_index, window_ready)
         if clk is not None:
             st.add("decision", clk() - t0)
         return hit
@@ -939,149 +801,93 @@ class FallDetector:
     def push(self, accel_g, gyro_dps, t: float | None = None) -> Detection | None:
         """Feed one sample; returns a :class:`Detection` when a path fires.
 
-        The inference cadence matches the offline segmentation: the first
+        A one-row :meth:`push_block` whose staged windows then run inline,
+        in order, through the model (:meth:`complete` with the measured
+        latency); returns the earliest detection by sample index.  The
+        inference cadence matches the offline segmentation: the first
         window is evaluated once full, then every ``hop_samples``.  ``t``
         is the sample timestamp in seconds; when provided, missing samples
         are detected from the inter-arrival time — short gaps (≤
         ``max_gap_ms``) are bridged with linearly interpolated fill
         samples, longer ones reset the streaming state.  Without
-        timestamps the stream is assumed gapless at the nominal rate.
+        timestamps (or with a non-finite one) the sample is taken at the
+        nominal rate.
+
+        Both orderings are the deferred ones the serving engine uses:
+
+        * a window's flight-recorder event and its CNN decision are
+          recorded after this sample's ``sample`` event, so post-trigger
+          context counts from the next sample;
+        * every window due inside one gap fill is staged before any of
+          them runs, so a completion that sheds the CNN takes effect after
+          the fill (the arriving sample still sees the CNN available).
+          With the default config a push holds at most one due window.
         """
-        detection, _ = self._push(accel_g, gyro_dps, t, collect=None)
-        return detection
+        detections, requests = self.push_block(
+            accel_g, gyro_dps, None if t is None else (t,))
+        for request in requests:
+            hit = self._run_model(request)
+            if hit is not None:
+                detections.append(hit)
+        if not detections:
+            return None
+        return min(detections, key=attrgetter("sample_index"))
 
     def push_collect(
         self, accel_g, gyro_dps, t: float | None = None,
     ) -> tuple[Detection | None, list[WindowRequest]]:
-        """:meth:`push` with deferred CNN inference (micro-batching hook).
+        """:meth:`push` with deferred CNN inference (micro-batching hook):
+        a one-row :meth:`push_block`.
 
-        Advances all streaming state exactly like :meth:`push`, but
-        instead of running the model inline, every due window is returned
-        as a staged :class:`WindowRequest` — the caller batches requests
-        across streams, runs one ``model.predict``, and feeds each result
-        to :meth:`complete`, which finishes the decision (deadline
-        accounting, shedding, debounce) with the state ordering the inline
-        path would have used.  Complete each returned request, in order,
-        before the next ``push_collect``/``reset`` on this detector.
-        Detections that need no model — the fallback path — are still
-        returned directly.
+        Every due window is returned as a staged :class:`WindowRequest` —
+        the caller batches requests across streams, runs one
+        ``model.predict``, and feeds each result to :meth:`complete`,
+        which finishes the decision (deadline accounting, shedding,
+        debounce).  Complete each returned request, in order, before the
+        next push/``reset`` on this detector.  Detections that need no
+        model — the fallback path — are returned directly (the first one,
+        when a gap fill holds several).  Recorder events and shedding
+        follow the orderings described under :meth:`push`.
         """
-        return self._push(accel_g, gyro_dps, t, collect=[])
+        detections, requests = self.push_block(
+            accel_g, gyro_dps, None if t is None else (t,))
+        return (detections[0] if detections else None), requests
 
-    def _push(
-        self, accel_g, gyro_dps, t: float | None, collect: list | None,
-    ) -> tuple[Detection | None, list[WindowRequest]]:
-        st = self.stages
-        clk = st.clock if st is not None else None
-        if clk is not None:
-            t0 = clk()
-        accel_g = np.asarray(accel_g, dtype=float).reshape(3)
-        gyro_dps = np.asarray(gyro_dps, dtype=float).reshape(3)
-        n_fill, long_gap, clock_anomaly = self._handle_timestamp(t)
-        accel, gyro, data_anomaly = self._validate(accel_g, gyro_dps)
-        if clk is not None:
-            st.add("ingest", clk() - t0)
-        anomaly = data_anomaly or clock_anomaly
-        detection: Detection | None = None
-        dt_nom = self._dt_nom
-        cur = np.concatenate([accel, gyro])
-        if long_gap:
-            self._reset_stream_state()
-            anomaly = True
-        elif (n_fill and self._prev_fill_anchor is not None
-              and self._last_t is not None):
-            # Bridge the gap: causal interpolation between the last good
-            # sample and the one that just arrived.
-            prev = self._prev_fill_anchor
-            delta = cur - prev
-            for j in range(1, n_fill + 1):
-                frac = j / (n_fill + 1)
-                filler = prev + frac * delta
-                fill_t = self._last_t + j * dt_nom
-                self._sample_index += 1
-                fb = (self._fallback.push(filler[:3])
-                      if self._fallback is not None else False)
-                due = self._ingest(filler[:3], filler[3:])
-                hit = self._decide(due, fb, fill_t, collect)
-                detection = detection or hit
-            self.gap_filled_samples += n_fill
-            self._counter("gap_filled_samples").inc(n_fill)
-            anomaly = True
-        self._sample_index += 1
-        time_s = t if t is not None else self._sample_index / self.config.fs
-        if t is not None:
-            self._last_t = t
-        elif self._last_t is not None:
-            # Assume the nominal rate across an untimestamped sample so a
-            # single missing timestamp cannot null the tracker and disarm
-            # the next sample's gap/clock checks (see _handle_timestamp).
-            self._last_t = self._last_t + dt_nom
-        self._prev_fill_anchor = cur
-        if clk is not None:
-            t1 = clk()
-        fallback_hit = (self._fallback.push(accel)
-                        if self._fallback is not None else False)
-        if clk is not None:
-            st.add("decision", clk() - t1)
-        window_due = self._ingest(accel, gyro)
-        if clk is not None:
-            t2 = clk()
-        self._update_health(anomaly)
-        if clk is not None:
-            st.add("decision", clk() - t2)
-        hit = self._decide(window_due, fallback_hit, time_s, collect)
-        if self.recorder is not None:
-            # Recorded raw values are the *incoming* ones, pre-repair, so
-            # replay re-feeds exactly what the device saw; fill samples
-            # are synthesised deterministically on replay and not stored.
-            self.recorder.record_sample(
-                self._sample_index, t, accel_g, gyro_dps,
-                self._last_raw, anomaly, self._health,
-            )
-        return detection or hit, collect if collect is not None else []
-
-    # ------------------------------------------------------------------
-    # vectorized block-streaming API
-    # ------------------------------------------------------------------
     def push_block(
         self, accel_g, gyro_dps, t=None,
     ) -> tuple[list[Detection], list[WindowRequest]]:
-        """Feed a whole block at once; the vectorized twin of a
-        :meth:`push_collect` loop.
+        """Feed a block of samples — the detector's one ingest path.
 
-        ``accel_g`` / ``gyro_dps`` are ``(n, 3)`` arrays; ``t`` is ``None``
-        (fully untimestamped block) or a length-``n`` sequence of
-        timestamps where ``None``/NaN marks an untimestamped sample.
+        ``accel_g`` / ``gyro_dps`` are ``(n, 3)`` arrays (a ``(3,)``
+        sample is one row); ``t`` is ``None`` (fully untimestamped block)
+        or a length-``n`` sequence of timestamps where ``None`` or a
+        non-finite value marks an untimestamped sample.
 
-        Semantics are **bit-identical** to::
-
-            for i in range(n):
-                hit, reqs = detector.push_collect(accel[i], gyro[i], t[i])
-
-        with every staged :class:`WindowRequest` completed *after* the
-        loop (deferred to the end of the block): same probabilities, same
-        detections, same health transitions, same anomaly counters —
+        Semantics are **bit-identical** to the per-sample reference
+        pipeline — validate, bridge gaps, fuse, filter, window and decide
+        one sample at a time — fed the same samples, with every staged
+        :class:`WindowRequest` completed after the block: same staged
+        windows, detections, health transitions, anomaly counters and
+        flight-recorder events, order included.  ``tests/detector_oracle.py``
+        keeps that pipeline as the oracle, and
         ``tests/test_detector_block.py`` holds this to bit-for-bit
-        equality across every builtin fault scenario and random block
-        splits.  Only the cost changes: repair/clamp/stuck tracking, gap
-        synthesis, SOS filtering (one carried-state
+        equality across every builtin fault scenario, random block splits
+        and one-row calls, with and without a recorder.  Repair/clamp/
+        stuck tracking, gap synthesis, SOS filtering (one carried-state
         :meth:`OnlineSosFilter.process
         <repro.signal.filters.OnlineSosFilter.process>` call — a single
         compiled-kernel pass — per contiguous segment), channel scaling
-        and window assembly (windows are views
-        into one grown history instead of n ring-buffer rolls) run as
-        numpy ops over the block, and the inherently sequential fusion
-        recurrence runs in one tight scalar pass
-        (:meth:`ComplementaryFilter.update_block
-        <repro.signal.orientation.ComplementaryFilter.update_block>`).
+        and window assembly (windows are views into one grown history
+        instead of n ring-buffer rolls) run as numpy ops over the block;
+        the inherently sequential fusion recurrence runs in one tight
+        scalar pass (:meth:`ComplementaryFilter.update_block
+        <repro.signal.orientation.ComplementaryFilter.update_block>`), and
+        the recorder receives runs of sample rows.
 
         Returns ``(detections, requests)``: fallback-path detections (at
-        most one per *incoming* sample, exactly like
-        :meth:`push_collect`) and every staged CNN window, in order.
-        Complete the requests, in order, before the next push on this
-        detector.  Detectors with a flight recorder attached run the
-        per-sample reference loop instead — replay needs the exact
-        per-sample event order.
+        most one per *incoming* sample) and every staged CNN window, in
+        order.  Complete the requests, in order, before the next push on
+        this detector.
         """
         accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
         gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
@@ -1104,19 +910,15 @@ class FallDetector:
             )
         if n == 0:
             return [], []
-        if self.recorder is not None:
-            return self._push_block_loop(accel, gyro, t_list)
         st = self.stages
         clk = st.clock if st is not None else None
         if clk is not None:
             t0 = clk()
 
         # Phase 1 — repair/clamp/stuck tracking, vectorized over the block.
-        (repaired, data_anom, accel_dead_rows,
-         gyro_dead_rows) = self._validate_block(accel, gyro)
+        repaired, data_anom, dead = self._validate_block(accel, gyro)
         # Phase 2 — timestamp classification (cheap scalar loop: the
-        # carried clock is inherently sequential, and scalar float
-        # arithmetic here is exactly the per-sample arithmetic).
+        # carried clock is inherently sequential).
         (fills, resets, ts_anom, fill_base,
          real_t, n_resets) = self._plan_timestamps_block(t_list, n)
 
@@ -1128,7 +930,7 @@ class FallDetector:
         if fills[0] and anchor is None:
             # note_interruption seeds _last_t without an anchor: the gap
             # is flagged (ts_anom stays) but nothing can be interpolated.
-            fills = [0] + fills[1:]
+            fills[0] = 0
         total_fill = sum(fills)
         dt_nom = self._dt_nom
         if total_fill == 0 and n_resets == 0:
@@ -1163,19 +965,17 @@ class FallDetector:
                 owner[pos] = i
                 is_real[pos] = True
                 pos += 1
-            reset_set = set(reset_rows)
-            cuts = sorted({0, m} | reset_set)
-            segments = [(cuts[ci], cuts[ci + 1], cuts[ci] in reset_set)
-                        for ci in range(len(cuts) - 1)]
+            cuts = [0] + [r for r in reset_rows if r] + [m]
+            segments = [(a, b, a in reset_rows)
+                        for a, b in zip(cuts, cuts[1:])]
         if total_fill:
             self.gap_filled_samples += total_fill
             self._counter("gap_filled_samples").inc(total_fill)
         if n_resets:
             self.stream_resets += n_resets
             self._counter("stream_resets").inc(n_resets)
-        # The next gap interpolates from the last repaired sample, exactly
-        # like the per-sample anchor update.
-        self._prev_fill_anchor = repaired[-1].copy()
+        # The next gap interpolates from the last repaired sample.
+        self._prev_fill_anchor = repaired[-1]
         if clk is not None:
             t1 = clk()
             st.add("ingest", t1 - t0)
@@ -1189,20 +989,21 @@ class FallDetector:
 
         # Phase 5 — filter + scale + window assembly, one vectorized pass
         # per reset-delimited segment.  The SOS pass inside the segment
-        # loop is timed separately so filter vs window attribution matches
-        # the per-sample path.
+        # loop is timed separately so filter and window attribution stay
+        # apart.  windows[r] is the full window a due row r stages, and
+        # ready[r] whether row r's ring buffer had filled.
         filter_s = 0.0
         raw9 = np.concatenate([ex6, euler], axis=1)
         window_n = self._window_n
         hop_n = self._hop_n
-        due = np.zeros(m, dtype=bool)
-        ready = np.zeros(m, dtype=bool)
+        ready = [True] * m
         windows: dict[int, np.ndarray] = {}
         for a, b, is_reset in segments:
             if is_reset:
-                # Long gap: the same bookkeeping as _reset_stream_state
-                # (its counter increment was batched above; the fusion
-                # reset was folded into update_block).
+                # Long gap: drop filter/window state and re-prime (the
+                # fusion reset was folded into update_block).  The CNN
+                # stays silent until its window refills; the fallback
+                # keeps guarding throughout.
                 self._filter.reset()
                 self._buffer[:] = 0.0
                 self._filled = 0
@@ -1215,24 +1016,23 @@ class FallDetector:
                 filter_s += clk() - f0
             hist = np.concatenate([self._buffer, scaled], axis=0)
             filled0 = self._filled
-            # Closed forms of the _ingest cadence counters: the first due
-            # row completes the warm-up (or the pending hop), then one due
+            # The cadence counters in closed form: the first due row
+            # completes the warm-up (or the pending hop), then one due
             # every hop_n rows.
             if filled0 < window_n:
                 first_due = window_n - filled0 - 1
-                if first_due < seg_len:
-                    ready[a + first_due:b] = True
+                ready[a:a + min(first_due, seg_len)] = (
+                    [False] * min(first_due, seg_len))
             else:
                 first_due = hop_n - self._since_last_inference - 1
-                ready[a:b] = True
-            if first_due < seg_len:
-                due_local = np.arange(first_due, seg_len, hop_n)
-                due[a + due_local] = True
-                for r in due_local.tolist():
-                    # After ingesting local row r the ring buffer holds
-                    # exactly these window_n rows; _stage copies the view.
-                    windows[a + r] = hist[r + 1:r + 1 + window_n]
-                self._since_last_inference = seg_len - 1 - int(due_local[-1])
+            last_due = None
+            for r in range(first_due, seg_len, hop_n):
+                # After ingesting local row r the ring buffer holds
+                # exactly these window_n rows; _decide copies the view.
+                windows[a + r] = hist[r + 1:r + 1 + window_n]
+                last_due = r
+            if last_due is not None:
+                self._since_last_inference = seg_len - 1 - last_due
             elif filled0 >= window_n:
                 self._since_last_inference += seg_len
             self._filled = min(window_n, filled0 + seg_len)
@@ -1245,23 +1045,22 @@ class FallDetector:
             # spans _decide attributes to itself during the replay loop.
             dec0 = st.pending_ms("decision")
 
-        # Phase 6 — magnitude fallback: vectorized magnitudes, sequential
-        # deque smoother (order-dependent trailing mean).
+        # Phase 6 — magnitude fallback: a sequential deque smoother
+        # (order-dependent trailing mean), one scalar step per row.
         if self._fallback is not None:
-            ax, ay, az = ex6[:, 0], ex6[:, 1], ex6[:, 2]
-            mags = np.sqrt(ax * ax + ay * ay + az * az)
-            push_mag = self._fallback.push_mag
-            fb_hits = [push_mag(mag) for mag in mags.tolist()]
+            push_fb = self._fallback.push
+            fb_hits = [push_fb(row) for row in ex6[:, :3].tolist()]
         else:
-            fb_hits = None
+            fb_hits = [False] * m
 
         # Phase 7 — replay the per-sample decision/health sequence.  Rows
         # with no evidence (not due, no fallback hit) leave _decide's
         # state untouched, so with clean health they can be skipped.
         base = self._sample_index
         fs = self.config.fs
-        real_anom = [bool(data_anom[i]) or ts_anom[i] for i in range(n)]
-        use_override = bool(accel_dead_rows.any() or gyro_dead_rows.any())
+        use_override = np.count_nonzero(dead) > 0
+        real_anom = (ts_anom if not np.count_nonzero(data_anom) else
+                     [d or s for d, s in zip(data_anom.tolist(), ts_anom)])
         fast_health = (
             self._health == HEALTHY
             and not any(real_anom)
@@ -1269,51 +1068,55 @@ class FallDetector:
             and self.model is not None
             and not self._cnn_shed
         )
+        if self.recorder is not None:
+            # Sample rows for the recorder, handed over lazily by
+            # _record_rows; health fills in as the loop replays each row.
+            index = (list(range(base + 1, base + n + 1)) if is_real is None
+                     else (base + 1 + np.flatnonzero(is_real)).tolist())
+            health = [self._health] * n
+            self._rows = (index, real_t, accel, gyro, repaired, real_anom,
+                          health)
+            self._rows_done = 0
+        else:
+            health = None
         detections: list[Detection] = []
         requests: list[WindowRequest] = []
-        due_l = due.tolist()
-        ready_l = ready.tolist()
         if fast_health:
-            hot = [r for r in range(m)
-                   if due_l[r] or (fb_hits is not None and fb_hits[r])]
+            hot = [r for r in range(m) if fb_hits[r] or r in windows]
         else:
             hot = range(m)
-        a_dead_l = accel_dead_rows.tolist() if use_override else None
-        g_dead_l = gyro_dead_rows.tolist() if use_override else None
+        dead_l = dead.tolist() if use_override else None
         last_owner = -1
-        group_fired = False
         try:
             for r in hot:
                 own = owner[r] if owner is not None else r
-                real = is_real[r] if is_real is not None else True
                 self._sample_index = base + r + 1
                 if use_override:
-                    self._dead_override = (a_dead_l[own], g_dead_l[own])
+                    self._dead_override = dead_l[own]
+                real = is_real is None or is_real[r]
                 if real and not fast_health:
                     self._update_health(real_anom[own])
-                fb = fb_hits[r] if fb_hits is not None else False
-                if due_l[r] or fb:
+                    if health is not None:
+                        health[own] = self._health
+                fb = fb_hits[r]
+                window = windows.get(r)
+                if window is not None or fb:
                     if real:
                         tv = real_t[own]
-                        time_s = (tv if tv is not None
-                                  else (base + r + 1) / fs)
+                        time_s = tv if tv is not None else (base + r + 1) / fs
                     else:
                         time_s = fill_time[r]
-                    hit = self._decide(
-                        due_l[r], fb, time_s, requests,
-                        window_ready=ready_l[r], window=windows.get(r),
-                    )
-                    if hit is not None:
-                        # push_collect returns the *first* detection among
-                        # a sample's fills + the sample itself.
-                        if own != last_owner:
-                            last_owner = own
-                            group_fired = False
-                        if not group_fired:
-                            detections.append(hit)
-                            group_fired = True
+                    hit = self._decide(window, fb, time_s, ready[r],
+                                       requests)
+                    # At most one detection per incoming sample: the first
+                    # among its fills and the sample itself.
+                    if hit is not None and own != last_owner:
+                        last_owner = own
+                        detections.append(hit)
+            self._record_rows()
         finally:
             self._dead_override = None
+            self._rows = None
         if fast_health:
             self._clean_streak += n
         self._sample_index = base + m
@@ -1323,48 +1126,55 @@ class FallDetector:
             st.add_ms("decision", max(0.0, wall_ms - inner_ms))
         return detections, requests
 
-    def _push_block_loop(
-        self, accel: np.ndarray, gyro: np.ndarray, t_list,
-    ) -> tuple[list[Detection], list[WindowRequest]]:
-        """Reference implementation of :meth:`push_block`: the per-sample
-        loop the vectorized path is proven bit-identical to."""
-        detections: list[Detection] = []
-        requests: list[WindowRequest] = []
-        for i in range(accel.shape[0]):
-            ti = t_list[i] if t_list is not None else None
-            if ti is not None and ti != ti:     # NaN marks "no timestamp"
-                ti = None
-            hit, staged = self._push(accel[i], gyro[i], ti, collect=[])
-            if hit is not None:
-                detections.append(hit)
-            requests.extend(staged)
-        return detections, requests
-
     def _validate_block(self, accel: np.ndarray, gyro: np.ndarray):
-        """Block twin of :meth:`_validate`: repair, clamp and streak-track
-        ``n`` samples in vectorized passes.
+        """Repair non-finite readings, clamp to the sensor rails and track
+        stuck channels / dead sensors, in vectorized passes over the block.
 
-        Returns ``(repaired (n, 6), data_anomaly (n,), accel_dead (n,),
-        gyro_dead (n,))``; the dead flags give each *row's* view of the
-        dead-sensor trackers (the per-sample path consults them between
-        every sample, so the block decisions must too).
+        Non-finite entries hold the last repaired value of their channel
+        (bootstrap: 1 g gravity for accel, zero rate for gyro);
+        out-of-range entries clip.  Returns ``(repaired (n, 6),
+        data_anomaly (n,), dead (n, 2))``; ``dead`` gives each *row's*
+        view of the accel/gyro dead-sensor trackers (decisions consult
+        them between every sample).
         """
-        cfg = self.config
         n = accel.shape[0]
         exact = np.concatenate([accel, gyro], axis=1)
-        finite = np.isfinite(exact)
-        bad = ~finite
-        bad_rows = bad.any(axis=1)
-        n_bad = int(bad_rows.sum())
-        repaired = np.where(finite, exact, np.nan)
-        # Saturation check on the post-repair values, like _validate: a
-        # held (previously clipped) value is always in-range, and NaN
-        # placeholders compare False, so pre-fill rows match exactly.
+        prev = self._prev_raw_exact
+        # NaN never compares equal, so neither a NaN reading nor the first
+        # sample ever (NaN stand-in predecessor) repeats.
+        same = exact == np.concatenate(
+            [_NAN_ROW if prev is None else prev[None, :], exact[:-1]])
         rails = self._rails
-        clip_rows = (np.abs(repaired) > rails).any(axis=1)
-        n_clip = int(clip_rows.sum())
-        np.clip(repaired, -rails, rails, out=repaired)
-        if n_bad:
+        in_range = np.abs(exact) <= rails       # False for NaN/±inf too
+        # count_nonzero: cheap whole-array tests, since one-row calls are
+        # the per-sample push.  The common case — every reading finite
+        # and in range, none a repeat — breaks every streak on its first
+        # row, so no row is stuck or dead (the limits are >= 1).
+        if (np.count_nonzero(in_range) == in_range.size
+                and not np.count_nonzero(same)):
+            self._streaks = np.zeros(8, dtype=int)
+            self._prev_raw_exact = self._last_raw = exact[-1]
+            return (exact, np.zeros(n, dtype=bool),
+                    np.zeros((n, 2), dtype=bool))
+        finite = np.isfinite(exact)
+        if np.count_nonzero(finite) == finite.size:
+            bad = None
+            repaired = exact
+        else:
+            bad = ~finite
+            bad_rows = bad.any(axis=1)
+            repaired = np.where(finite, exact, np.nan)
+        # Saturation check before the hold: a held value was clipped when
+        # it was repaired, and NaN placeholders compare False.
+        over = np.abs(repaired) > rails
+        clip_rows = None
+        if np.count_nonzero(over):
+            clip_rows = over.any(axis=1)
+            n_clip = int(np.count_nonzero(clip_rows))
+            repaired = np.clip(repaired, -rails, rails)
+            self.saturated_samples += n_clip
+            self._counter("saturated_samples").inc(n_clip)
+        if bad is not None:
             # Vectorized hold-last: each non-finite entry takes the most
             # recent finite value in its column, falling back to the
             # carried last-repaired sample (or the gravity bootstrap).
@@ -1374,56 +1184,52 @@ class FallDetector:
             np.maximum.accumulate(src, axis=0, out=src)
             held = repaired[np.maximum(src, 0), np.arange(6)]
             repaired = np.where(src >= 0, held, carry)
+            n_bad = int(np.count_nonzero(bad_rows))
             self.repaired_samples += n_bad
             self._counter("repaired_samples").inc(n_bad)
-        if n_clip:
-            self.saturated_samples += n_clip
-            self._counter("saturated_samples").inc(n_clip)
-        # Stuck-at streaks: exact-repeat (or non-finite) runs per channel,
-        # then all-channels-bad runs per sensor — both are running-streak
-        # recurrences with a closed form (_running_streak).
-        prev_exact = self._prev_raw_exact
-        if prev_exact is None:
-            prev_rows = np.concatenate(
-                [np.full((1, 6), np.nan), exact[:-1]], axis=0)
-        else:
-            prev_rows = np.concatenate(
-                [prev_exact[None, :], exact[:-1]], axis=0)
-        same = finite & np.isfinite(prev_rows) & (exact == prev_rows)
-        stuck_or_bad = same | bad
-        if prev_exact is None:
-            # The first sample ever has no predecessor: the per-sample
-            # path skips its streak update (carried streaks are zero).
-            tail = _running_streak(stuck_or_bad[1:],
-                                   self._channel_stuck_streak)
-            streaks = np.concatenate(
-                [self._channel_stuck_streak[None, :], tail], axis=0)
-        else:
-            streaks = _running_streak(stuck_or_bad,
-                                      self._channel_stuck_streak)
-        acc_bad = (streaks[:, :3] >= 1).all(axis=1) | bad[:, :3].all(axis=1)
-        gyr_bad = (streaks[:, 3:] >= 1).all(axis=1) | bad[:, 3:].all(axis=1)
-        sensor = _running_streak(np.stack([acc_bad, gyr_bad], axis=1),
-                                 self._sensor_bad_streak)
-        data_anom = (bad_rows | clip_rows
-                     | (streaks >= cfg.stuck_channel_samples).any(axis=1))
-        self._channel_stuck_streak = streaks[-1].copy()
-        self._sensor_bad_streak = sensor[-1].copy()
-        self._prev_raw_exact = exact[-1].copy()
-        self._last_raw = repaired[-1].copy()
-        dead_n = cfg.dead_sensor_samples
-        return (repaired, data_anom,
-                sensor[:, 0] >= dead_n, sensor[:, 1] >= dead_n)
+        # Stuck-at tracking on the *exact* incoming values: genuine IMU
+        # noise never repeats bit-identically, so an exact-repeat streak
+        # marks a frozen channel, and a non-finite reading also counts
+        # against its channel (±inf == ±inf, but it is in bad anyway).
+        # Columns 6/7 are the accel/gyro "every channel stuck or bad"
+        # flags; all eight streaks advance in one _running_streak pass.
+        cond = np.empty((n, 8), dtype=bool)
+        cond[:, :6] = same if bad is None else same | bad
+        np.logical_and.reduce(cond[:, :6].reshape(n, 2, 3), axis=2,
+                              out=cond[:, 6:])
+        if prev is None:
+            # The first sample ever has no predecessor: its channel
+            # streaks stay at the carried zero.
+            cond[0, :6] = False
+        streaks = _running_streak(cond, self._streaks)
+        # Stuck channels (columns 0-5) and dead sensors (6-7).
+        over_limit = streaks >= self._streak_limits
+        data_anom = over_limit[:, :6].any(axis=1)
+        if bad is not None:
+            data_anom |= bad_rows
+        if clip_rows is not None:
+            data_anom |= clip_rows
+        self._streaks = streaks[-1]
+        self._prev_raw_exact = exact[-1]
+        self._last_raw = repaired[-1]
+        return repaired, data_anom, over_limit[:, 6:]
 
     def _plan_timestamps_block(self, t_list, n: int):
-        """Block twin of :meth:`_handle_timestamp` plus the ``_last_t``
-        bookkeeping: classify every inter-sample interval up front.
+        """Classify every inter-sample interval of the block up front and
+        carry the stream clock past it.
+
+        A timestamp closer than half a period to the previous one (early,
+        duplicate or backwards) is a clock anomaly; a gap of ``missing``
+        periods is bridged with that many fill rows, or resets the stream
+        when longer than ``max_gap_ms``.  A missing or non-finite
+        timestamp inside a timestamped stream is a clock anomaly too: its
+        evidence is gone, so the clock advances one nominal period
+        (keeping the checks armed for the next sample).
 
         Returns ``(fills, resets, ts_anom, fill_base, real_t, n_resets)``
-        — per incoming sample: synthesized-fill count, long-gap reset
-        flag, clock/gap anomaly flag, the fill interpolation base time,
-        and the (NaN-normalized) timestamp.  Leaves ``_last_t`` advanced
-        past the block and the clock-anomaly counter updated.
+        — per incoming sample: fill count, long-gap reset flag, clock/gap
+        anomaly flag, the fill interpolation base time, and the timestamp
+        (``None`` when missing or non-finite).
         """
         dt_nom = self._dt_nom
         half = 0.5 * dt_nom
@@ -1438,15 +1244,13 @@ class FallDetector:
         last_t = self._last_t
         for i in range(n):
             ti = t_list[i] if t_list is not None else None
-            if ti is not None and ti != ti:     # NaN marks "no timestamp"
-                ti = None
-            real_t[i] = ti
-            if ti is None:
+            if ti is None or not math.isfinite(ti):
                 if last_t is not None:
                     n_clock += 1
                     ts_anom[i] = True
                     last_t = last_t + dt_nom
                 continue
+            real_t[i] = ti
             if last_t is not None:
                 dt = ti - last_t
                 if dt < half:

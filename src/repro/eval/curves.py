@@ -14,7 +14,7 @@ import numpy as np
 __all__ = ["roc_curve", "pr_curve", "auc", "threshold_for_fp_budget"]
 
 
-def _validate(y_true, scores):
+def _check_inputs(y_true, scores):
     y_true = np.asarray(y_true).reshape(-1).astype(int)
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if y_true.shape != scores.shape:
@@ -32,7 +32,7 @@ def roc_curve(y_true, scores):
     Returns ``(fpr, tpr, thresholds)`` sorted by ascending FPR, with the
     conventional (0,0) and (1,1) endpoints included.
     """
-    y_true, scores = _validate(y_true, scores)
+    y_true, scores = _check_inputs(y_true, scores)
     pos = int(y_true.sum())
     neg = y_true.size - pos
     if pos == 0 or neg == 0:
@@ -51,7 +51,7 @@ def roc_curve(y_true, scores):
 
 def pr_curve(y_true, scores):
     """Precision-recall points; returns ``(recall, precision, thresholds)``."""
-    y_true, scores = _validate(y_true, scores)
+    y_true, scores = _check_inputs(y_true, scores)
     pos = int(y_true.sum())
     if pos == 0:
         raise ValueError("PR curve needs at least one positive")

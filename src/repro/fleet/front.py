@@ -36,6 +36,7 @@ Supervision & failover
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 import zlib
@@ -252,7 +253,9 @@ class FleetFront:
             shed = True
         shard.pending.append(sample)
         self.samples_in += 1
-        if t is not None:
+        if t is not None and math.isfinite(t):
+            # Non-finite timestamps are missing ones: they advance neither
+            # the failover clock nor the fleet's stream clock.
             self._last_t[stream_id] = float(t)
             if self._latest_t is None or t > self._latest_t:
                 self._latest_t = float(t)

@@ -182,19 +182,29 @@ class FlightRecorder:
         }
         self._snapshot_fn = snapshot_fn
 
-    def record_sample(self, index: int, t, accel, gyro, repaired,
-                      anomaly: bool, health: str) -> None:
-        self._append({
-            "kind": "sample",
-            "i": int(index),
-            "t": None if t is None else float(t),
-            "accel": [float(v) for v in accel],
-            "gyro": [float(v) for v in gyro],
-            "repaired": ([float(v) for v in repaired]
-                         if repaired is not None else None),
-            "anomaly": bool(anomaly),
-            "health": health,
-        }, is_sample=True)
+    def record_sample(self, index, t, accel, gyro, repaired, anomaly,
+                      health) -> None:
+        """Record a run of incoming samples, one ``sample`` event per row.
+
+        ``index``, ``t`` (``None`` when untimestamped), ``anomaly`` and
+        ``health`` (the state after the sample) hold one entry per row;
+        ``accel``/``gyro`` are the raw pre-repair ``(k, 3)`` rows and
+        ``repaired`` the ``(k, 6)`` rows after repair and clamping.
+        """
+        for i, ti, a, g, r, an, h in zip(
+                index, t, np.asarray(accel).tolist(),
+                np.asarray(gyro).tolist(), np.asarray(repaired).tolist(),
+                anomaly, health):
+            self._append({
+                "kind": "sample",
+                "i": int(i),
+                "t": None if ti is None else float(ti),
+                "accel": a,
+                "gyro": g,
+                "repaired": r,
+                "anomaly": bool(an),
+                "health": h,
+            }, is_sample=True)
 
     def record_window(self, index: int, prob, latency_ms, violation: bool,
                       failed: bool, window) -> None:
@@ -501,10 +511,11 @@ def _diff_events(recorded, replayed, meta, start, *, live_model,
                  structural_diffs) -> dict:
     """Category-wise diff of two event streams.
 
-    Categories are compared as independent ordered sequences because the
-    inline path records a push's window/decision events *before* its
-    sample event while the deferred path records them after — the
-    within-category order is identical either way.
+    Categories are compared as independent ordered sequences: a
+    window's event lands after its sample's, but how many later samples
+    precede it depends on when the caller completed the window (after
+    each push, as replay does, or after a whole block, as the serving
+    engine does) — the within-category order is identical either way.
     """
     examples: list[str] = []
 

@@ -33,6 +33,7 @@ deadline violations are exported through :mod:`repro.obs`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -299,9 +300,12 @@ class ServeEngine:
         if len(queue) > self._peak_queue_depth:
             self._peak_queue_depth = len(queue)
         self.samples_in += 1
-        if t is not None and (self._latest_t is None or t > self._latest_t):
+        if (t is not None and math.isfinite(t)
+                and (self._latest_t is None or t > self._latest_t)):
             # Fleet stream clock: drives alert confirm-window expiry and
-            # auto-resolve even on rounds with no detections.
+            # auto-resolve even on rounds with no detections.  A
+            # non-finite timestamp is "missing" to the detector and never
+            # advances the clock the SLO windows are evaluated at.
             self._latest_t = float(t)
         return True
 
@@ -312,8 +316,7 @@ class ServeEngine:
         """Drain every queue and run the due windows in micro-batches.
 
         Each session's whole queue is ingested as one vectorized
-        ``push_block`` (bit-identical to the per-sample loop with
-        completes deferred to the block boundary), then one batched
+        ``push_block`` (the detector's one ingest path), then one batched
         forward runs for all staged windows across streams; rounds repeat
         until every queue is empty.  The queue-depth gauge reports the
         deepest any stream's queue got since the previous step (burst

@@ -108,9 +108,7 @@ class ComplementaryFilter:
         pitch_acc, roll_acc = accel_inclination(accel_g)
         pa = pitch_acc.tolist()
         ra = roll_acc.tolist()
-        gx = gyro_dps[:, 0].tolist()
-        gy = gyro_dps[:, 1].tolist()
-        gz = gyro_dps[:, 2].tolist()
+        gyro_rows = gyro_dps.tolist()
         resets = set(reset_rows) if reset_rows is not None else ()
         alpha = self.alpha
         one_m_alpha = 1.0 - alpha
@@ -128,14 +126,13 @@ class ComplementaryFilter:
                 state = (pa[i], ra[i], 0.0)
             else:
                 pitch, roll, yaw = state
+                gx, gy, gz = gyro_rows[i]
                 state = (
-                    alpha * (pitch + gy[i] * dt) + one_m_alpha * pa[i],
-                    alpha * (roll + gx[i] * dt) + one_m_alpha * ra[i],
-                    yaw + gz[i] * dt,
+                    alpha * (pitch + gy * dt) + one_m_alpha * pa[i],
+                    alpha * (roll + gx * dt) + one_m_alpha * ra[i],
+                    yaw + gz * dt,
                 )
-            out[i, 0] = state[0]
-            out[i, 1] = state[1]
-            out[i, 2] = state[2]
+            out[i] = state
         self._angles = np.array(state)
         return out
 

@@ -131,3 +131,7 @@ class TestDetectorVoting:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             DetectorConfig(consecutive_required=0)
+        with pytest.raises(ValueError, match="stuck_channel_samples"):
+            DetectorConfig(stuck_channel_samples=0)
+        with pytest.raises(ValueError, match="dead_sensor_samples"):
+            DetectorConfig(dead_sensor_samples=0)

@@ -1,24 +1,31 @@
-"""``push_block`` ≡ ``push_collect`` — the bit-identity property suite.
+"""``push_block`` ≡ the per-sample oracle — the bit-identity property suite.
 
-The vectorized block-ingest path promises *bit-identical* results to the
-per-sample deferred-inference loop (with completes deferred to the block
-boundary).  These tests drive both paths over every builtin fault
-scenario and random block splits and compare everything observable:
-staged windows byte for byte, detections, health transitions, metric
-counters, the ring buffer and the sample clock.  ``make check`` runs
-this via ``make test`` — it is the identity gate for the serve fast
-path.
+``FallDetector.push_block`` is the detector's one ingest path (``push``
+and ``push_collect`` are one-row calls of it).  It promises
+*bit-identical* results to the per-sample reference pipeline in
+``tests/detector_oracle.py`` with every staged request completed at the
+block boundary.  These tests drive both over every builtin fault
+scenario, random block splits and one-row calls and compare everything
+observable: staged windows byte for byte, detections, health
+transitions, metric counters, the ring buffer, the sample clock and —
+with a flight recorder attached — the recorded event stream, order
+included.  ``make check`` runs this via ``make test``: it is the
+identity gate for the ingest path.
 """
 
 from __future__ import annotations
 
+import json
+import time
 import zlib
 
 import numpy as np
 import pytest
+from detector_oracle import ScalarDetector, feed
 
 from repro.core.detector import DetectorConfig, FallDetector
 from repro.faults import builtin_scenarios
+from repro.obs import FlightConfig, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.bench import ServeBenchConfig, synth_stream
 
@@ -40,6 +47,12 @@ def _base_stream(index=0, duration_s=4.0):
     return synth_stream(index, bench)
 
 
+def _scenario_stream(name, duration_s=4.0):
+    accel, gyro, t = _base_stream(0, duration_s)
+    scenario = builtin_scenarios(seed=7)[name]
+    return scenario.apply_arrays(t, accel, gyro)
+
+
 def _random_splits(n, rng, n_blocks=12):
     """Random interior cut points giving ~``n_blocks`` uneven blocks."""
     if n < 2:
@@ -49,78 +62,72 @@ def _random_splits(n, rng, n_blocks=12):
     return sorted(int(c) for c in cuts)
 
 
-def _drive(detector, model, accel, gyro, t, splits, *, use_block,
-           latency_ms=0.5):
-    """Feed the stream block by block; returns the observable trace.
+def _mixed_splits(n, rng):
+    """Random blocks with runs of one-row calls between them."""
+    splits = set(_random_splits(n, rng))
+    for start in rng.choice(np.arange(1, n - 30), size=4, replace=False):
+        splits.update(range(int(start), int(start) + 25))
+    return sorted(splits)
 
-    Both arms follow the deferred-inference protocol with completes at
-    the block boundary — the contract ``push_block`` is specified
-    against.  The loop arm converts the block API's NaN timestamp
-    sentinel back to ``None`` for ``push_collect``.
-    """
-    trace = []
-    start = 0
-    for stop in list(splits) + [len(accel)]:
-        if use_block:
-            tb = None if t is None else t[start:stop]
-            hits, requests = detector.push_block(
-                accel[start:stop], gyro[start:stop], tb)
-        else:
-            hits, requests = [], []
-            for i in range(start, stop):
-                ti = None if t is None else float(t[i])
-                if ti is not None and ti != ti:   # NaN -> no timestamp
-                    ti = None
-                hit, reqs = detector.push_collect(accel[i], gyro[i], ti)
-                if hit is not None:
-                    hits.append(hit)
-                requests.extend(reqs)
-        for req in requests:
-            trace.append(("request", req.sample_index, float(req.time_s),
-                          bool(req.fallback_hit), req.window.tobytes()))
-            if model is not None:
-                prob = float(np.asarray(
-                    model.predict(req.window[None, :, :])).reshape(-1)[0])
-                hit = detector.complete(req, prob, latency_ms=latency_ms)
-                if hit is not None:
-                    hits.append(hit)
-        for h in hits:
-            trace.append(("detection", h.sample_index, float(h.time_s),
-                          float(h.probability), h.source))
-        start = stop
-    return trace
+
+def _events_json(recorder):
+    """The recorded stream as written to disk (NaN-safe to compare)."""
+    return json.dumps(recorder.events())
+
+
+def _incidents(recorder):
+    return [(i.meta["trigger"], i.meta["trigger_index"],
+             i.meta["extra_triggers"], json.dumps(i.events))
+            for i in recorder.incidents]
 
 
 def _assert_identical(accel, gyro, t, splits, *, cfg=CFG, with_model=True,
-                      latency_ms=0.5):
+                      latency_ms=0.5, recorder=False):
     arms = {}
-    for use_block in (False, True):
+    for cls in (ScalarDetector, FallDetector):
         model = _TanhModel() if with_model else None
         registry = MetricsRegistry()
-        detector = FallDetector(model, cfg, registry=registry)
-        trace = _drive(detector, model, accel, gyro, t, splits,
-                       use_block=use_block, latency_ms=latency_ms)
-        arms[use_block] = (trace, detector, registry)
-    trace_loop, det_loop, reg_loop = arms[False]
-    trace_block, det_block, reg_block = arms[True]
+        rec = (FlightRecorder(FlightConfig(capacity=1 << 16,
+                                           post_trigger_samples=25))
+               if recorder else None)
+        detector = cls(model, cfg, registry=registry, recorder=rec)
+        trace = feed(detector, model, accel, gyro, t, splits,
+                     latency_ms=latency_ms)
+        arms[cls] = (trace, detector, registry, rec)
+    trace_loop, det_loop, reg_loop, rec_loop = arms[ScalarDetector]
+    trace_block, det_block, reg_block, rec_block = arms[FallDetector]
     assert trace_block == trace_loop
     assert det_block.samples_seen == det_loop.samples_seen
     assert det_block.health_report() == det_loop.health_report()
     assert det_block.health_transitions == det_loop.health_transitions
     np.testing.assert_array_equal(det_block._buffer, det_loop._buffer)
     assert reg_block.snapshot() == reg_loop.snapshot()
+    if recorder:
+        assert _events_json(rec_block) == _events_json(rec_loop)
+        assert _incidents(rec_block) == _incidents(rec_loop)
     return trace_block
 
 
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
 def test_block_matches_loop_on_every_builtin_scenario(name):
-    accel, gyro, t = _base_stream(0)
-    scenario = builtin_scenarios(seed=7)[name]
-    t, accel, gyro = scenario.apply_arrays(t, accel, gyro)
+    t, accel, gyro = _scenario_stream(name)
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for trial in range(3):
         splits = _random_splits(len(accel), rng)
         _assert_identical(accel, gyro, t, splits)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_block_matches_oracle_with_recorder(name):
+    """The recorder arm: the event stream, order included, and every
+    frozen incident match the oracle over random splits mixed with runs
+    of one-row calls."""
+    t, accel, gyro = _scenario_stream(name)
+    rng = np.random.default_rng(zlib.crc32(name.encode()) + 1)
+    _assert_identical(accel, gyro, t, _random_splits(len(accel), rng),
+                      recorder=True)
+    _assert_identical(accel, gyro, t, _mixed_splits(len(accel), rng),
+                      recorder=True)
 
 
 def test_block_matches_loop_single_sample_blocks():
@@ -129,6 +136,22 @@ def test_block_matches_loop_single_sample_blocks():
     splits = list(range(1, len(accel)))
     trace = _assert_identical(accel, gyro, t, splits)
     assert any(kind == "detection" for kind, *_ in trace)
+    _assert_identical(accel, gyro, t, splits, recorder=True)
+
+
+def test_block_matches_loop_when_stuck_runs_resume():
+    """Stuck and dead runs that stop, give way to clean rows and start
+    again: the streaks a clean block breaks must not carry over."""
+    accel, gyro, t = _base_stream(0, duration_s=3.0)
+    accel, gyro = accel.copy(), gyro.copy()
+    for start, stop in ((20, 60), (63, 90), (150, 270), (272, 280)):
+        accel[start:stop, 1] = accel[start, 1]      # one axis stuck
+    gyro[150:270] = gyro[150]                       # whole sensor stuck
+    gyro[272:290] = gyro[272]
+    rng = np.random.default_rng(15)
+    _assert_identical(accel, gyro, t, _random_splits(len(accel), rng))
+    _assert_identical(accel, gyro, t, _mixed_splits(len(accel), rng),
+                      recorder=True)
 
 
 def test_block_matches_loop_with_empty_blocks():
@@ -139,13 +162,16 @@ def test_block_matches_loop_with_empty_blocks():
 
 
 def test_block_matches_loop_with_mixed_missing_timestamps():
-    """NaN sentinel rows (block) ≡ ``t=None`` samples (loop)."""
+    """NaN and ±inf timestamps are all "untimestamped" in both arms."""
     accel, gyro, t = _base_stream(0)
     t = t.copy()
     t[::7] = np.nan
+    t[3::11] = np.inf
+    t[5::13] = -np.inf
     rng = np.random.default_rng(11)
     splits = _random_splits(len(accel), rng)
     _assert_identical(accel, gyro, t, splits)
+    _assert_identical(accel, gyro, t, splits, recorder=True)
 
 
 def test_block_matches_loop_without_timestamps():
@@ -161,6 +187,8 @@ def test_block_matches_loop_without_model_fallback_only():
     splits = _random_splits(len(accel), rng)
     trace = _assert_identical(accel, gyro, t, splits, with_model=False)
     assert all(kind != "request" for kind, *_ in trace)
+    _assert_identical(accel, gyro, t, splits, with_model=False,
+                      recorder=True)
 
 
 def test_block_matches_loop_under_deadline_shedding():
@@ -175,3 +203,105 @@ def test_block_matches_loop_under_deadline_shedding():
                               latency_ms=50.0)
     assert any(kind == "detection" and rest[-1] == "fallback"
                for kind, *rest in trace)
+    _assert_identical(accel, gyro, t, splits, cfg=cfg, latency_ms=50.0,
+                      recorder=True)
+
+
+# ----------------------------------------------------------------------
+# inline push: the oracle's inline decisions, in the deferred order
+# ----------------------------------------------------------------------
+def _detections(detector, accel, gyro, t):
+    out = []
+    for i in range(len(accel)):
+        hit = detector.push(accel[i], gyro[i], None if t is None else t[i])
+        if hit is not None:
+            out.append((hit.sample_index, float(hit.time_s),
+                        float(hit.probability), hit.source))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_push_matches_oracle_inline_push(name):
+    """Default config: per-sample ``push`` makes the oracle's inline
+    decisions, detection for detection."""
+    t, accel, gyro = _scenario_stream(name)
+    accel = accel.copy()
+    accel[150:170, 2] -= 0.9              # a fall-like dip for the fallback
+    results = []
+    for cls in (ScalarDetector, FallDetector):
+        detector = cls(_TanhModel(), DetectorConfig(),
+                       registry=MetricsRegistry())
+        results.append((_detections(detector, accel, gyro, t),
+                        detector.health_transitions,
+                        detector.health_report()))
+    assert results[1] == results[0]
+    assert results[1][0], f"{name}: nothing fired"
+
+
+def test_inline_push_records_window_after_its_sample():
+    """Ordering change 1: a window's event and its CNN decision come
+    after that sample's ``sample`` event, so post-trigger context counts
+    from the next sample."""
+    class _Hot:
+        def predict(self, x):
+            return np.full((np.asarray(x).shape[0], 1), 0.9)
+
+    post = 5
+    rec = FlightRecorder(FlightConfig(post_trigger_samples=post,
+                                      triggers=("detection",)))
+    detector = FallDetector(_Hot(), DetectorConfig(),
+                            registry=MetricsRegistry(), recorder=rec)
+    accel, gyro, t = _base_stream(0, duration_s=1.0)
+    for i in range(len(accel)):
+        detector.push(accel[i], gyro[i], t[i])
+    events = rec.events()
+    kinds = [e["kind"] for e in events]
+    w = kinds.index("window")
+    assert events[w - 1]["kind"] == "sample"
+    assert events[w - 1]["i"] == events[w]["i"]
+    assert kinds[w + 1] == "decision"
+    incident = rec.incidents[0].events
+    d = [e["kind"] for e in incident].index("decision")
+    trigger = incident[d]["i"]
+    after = [e for e in incident[d + 1:] if e["kind"] == "sample"]
+    assert len(after) == post
+    assert after[0]["i"] == trigger + 1
+
+
+def test_inline_push_defers_shed_to_after_the_fill():
+    """Ordering change 2: with a hop shorter than ``max_gap_ms`` one gap
+    fill spans two due windows; a completion that sheds the CNN takes
+    effect after the fill, so both windows run (the oracle's inline push
+    sheds after the first and runs one)."""
+    cfg = DetectorConfig(window_ms=200.0, overlap=0.5, deadline_ms=1.0,
+                         degraded_after_violations=1,
+                         shed_after_violations=1)
+    assert cfg.hop_samples * 1000.0 / cfg.fs < cfg.max_gap_ms
+
+    class _SlowWhenArmed:
+        armed = False
+        calls = 0
+
+        def predict(self, x):
+            if self.armed:
+                self.calls += 1
+                time.sleep(0.003)            # over the 1 ms deadline
+            return np.full((np.asarray(x).shape[0], 1), 0.1)
+
+    accel, gyro, t = _base_stream(0, duration_s=1.0)
+    # Windows are due at samples 19, 29, 39, ...; after sample 44 a
+    # 200 ms gap (19 fills + the sample) holds due rows 49 and 59, both
+    # fills.
+    calls = {}
+    for cls in (ScalarDetector, FallDetector):
+        model = _SlowWhenArmed()
+        detector = cls(model, cfg, registry=MetricsRegistry())
+        for i in range(45):
+            detector.push(accel[i], gyro[i], t[i])
+        assert not detector.health_report()["cnn_shed"]
+        model.armed = True
+        detector.push(accel[45], gyro[45], t[44] + 0.2)
+        assert detector.gap_filled_samples == 19
+        assert detector.health_report()["cnn_shed"]
+        calls[cls] = model.calls
+    assert calls == {ScalarDetector: 1, FallDetector: 2}

@@ -201,6 +201,43 @@ class TestTimestampHandling:
         self._push_range(detector, [5.3], rng)
         assert detector.stream_resets == 1
 
+    def test_non_finite_interruption_clock_is_ignored(self):
+        """Failover seeds ``note_interruption`` with the stream's last
+        timestamp; a non-finite one leaves the clock unseeded."""
+        detector = FallDetector(_ConstantModel(), DetectorConfig())
+        detector.note_interruption(last_t=np.nan)
+        assert detector.health == DEGRADED
+        detector.push(GRAVITY, np.ones(3), t=1.0)
+        assert detector.samples_seen == 1
+        assert detector.clock_anomalies == 0
+
+    @pytest.mark.parametrize("bad_t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_is_a_missing_one(self, bad_t):
+        """A NaN/±inf timestamp is treated like ``t=None``: one clock
+        anomaly, the clock advances one nominal period, and the gap
+        checks stay armed — on ``push`` and on ``push_block``."""
+        rng = np.random.default_rng(4)
+        accel = GRAVITY + rng.normal(0, 1e-4, (33, 3))
+        gyro = rng.normal(0, 1e-3, (33, 3))
+        t = np.arange(33) / 100.0
+        t[30] = bad_t
+        t[32] = 5.0                                # long gap afterwards
+        arms = []
+        for feed in ("push", "push_block", "missing"):
+            detector = FallDetector(_ConstantModel(), DetectorConfig())
+            if feed == "push_block":
+                detector.push_block(accel[:31], gyro[:31], t[:31])
+            else:
+                for i in range(31):
+                    ti = None if feed == "missing" and i == 30 else t[i]
+                    detector.push(accel[i], gyro[i], t=ti)
+            assert detector.clock_anomalies == 1
+            assert detector._last_t == pytest.approx(0.30)
+            detector.push_block(accel[31:], gyro[31:], t[31:])
+            assert detector.stream_resets == 1
+            arms.append(detector.health_report())
+        assert arms[0] == arms[1] == arms[2]
+
 
 class TestCnnSheddingAndFallback:
     def test_deadline_streak_sheds_cnn_to_fault(self):

@@ -70,6 +70,14 @@ def front():
 
 
 class TestRouting:
+    def test_non_finite_timestamps_never_reach_the_fleet_clock(self, front):
+        """NaN/inf timestamps are missing ones: the fleet's stream clock
+        (and each stream's failover clock) skips them."""
+        for t in (np.inf, 0.5, np.nan):
+            front.submit("s0", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), t=t)
+        front.pump()
+        assert front.last_round_t == 0.5
+
     def test_crc32_assignment_is_deterministic(self, front):
         for sid in ("a", "b", "walker-7", "s042"):
             expected = zlib.crc32(sid.encode()) % 2
@@ -202,20 +210,28 @@ class TestFailover:
         # The unit-level core of degraded-then-healthy: a rebuilt session
         # seeded with note_interruption starts degraded and recovers
         # after the configured clean streak, like any mid-stream fault.
+        from detector_oracle import ScalarDetector
+
         from repro.core.detector import FallDetector
 
         rng = np.random.default_rng(3)
-        detector = FallDetector(MagnitudeProbeModel(), DET,
-                                registry=MetricsRegistry())
-        detector.note_interruption(last_t=1.0)
-        assert detector.health == "degraded"
-        for i in range(DET.recovery_samples + 2):
-            # Plausible idle telemetry: gravity plus noise (exact zeros
-            # on the gyro would trip the gyro-dead standing fault).
-            detector.push_collect(
-                np.array([0.0, 0.0, 1.0]) + rng.normal(0, 0.01, 3),
-                rng.normal(0, 1.0, 3), t=1.5 + i / DET.fs)
-        assert detector.health == "healthy"
+        n = DET.recovery_samples + 2
+        # Plausible idle telemetry: gravity plus noise (exact zeros on the
+        # gyro would trip the gyro-dead standing fault).
+        accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0, 0.01, (n, 3))
+        gyro = rng.normal(0, 1.0, (n, 3))
+        t = 1.5 + np.arange(n) / DET.fs
+        transitions = []
+        for cls in (ScalarDetector, FallDetector):
+            detector = cls(MagnitudeProbeModel(), DET,
+                           registry=MetricsRegistry())
+            detector.note_interruption(last_t=1.0)
+            assert detector.health == "degraded"
+            for i in range(n):
+                detector.push_collect(accel[i], gyro[i], t=t[i])
+            assert detector.health == "healthy"
+            transitions.append(detector.health_transitions)
+        assert transitions[1] == transitions[0]
 
     def test_hang_detection_times_out_and_restarts(self):
         registry = MetricsRegistry()

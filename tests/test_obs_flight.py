@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
+from detector_oracle import ScalarDetector, feed
 
 from repro.core.architecture import build_lightweight_cnn
 from repro.core.detector import DetectorConfig, FallDetector
@@ -280,12 +282,12 @@ def test_replay_injects_recorded_latency():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(builtin_scenarios(seed=7)))
 def test_replay_identity_under_every_builtin_scenario(name):
+    """Block-fed recordings (random splits, completes at each block
+    boundary, like the serving engine) equal the per-sample oracle's
+    event for event, and every frozen incident replays identically."""
     scenario = builtin_scenarios(seed=7)[name]
     config = DetectorConfig()
     model = build_lightweight_cnn(config.window_samples)
-    rec = FlightRecorder(FlightConfig(capacity=8192,
-                                      post_trigger_samples=40))
-    det = _detector(model, config, recorder=rec)
 
     n = 500
     accel, gyro, t = _quiet_stream(n, seed=11)
@@ -293,19 +295,29 @@ def test_replay_identity_under_every_builtin_scenario(name):
     accel[230:240, 2] += 3.5
     gyro[200:230] += 80.0
     t, accel, gyro = scenario.apply_arrays(t, accel, gyro)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    splits = sorted(int(c) for c in rng.choice(
+        np.arange(1, len(t)), size=40, replace=False))
 
-    det.reset()
-    for i in range(len(t)):
-        det.push(accel[i], gyro[i], float(t[i]))
-    recorded_transitions = det.health_transitions
-    rec.flush()
+    arms = {}
+    for cls in (ScalarDetector, FallDetector):
+        rec = FlightRecorder(FlightConfig(capacity=8192,
+                                          post_trigger_samples=40))
+        det = cls(model, config, registry=MetricsRegistry(),
+                  metric_prefix="t", recorder=rec)
+        det.reset()
+        feed(det, model, accel, gyro, t, splits)
+        rec.flush()
+        arms[cls] = (rec, det.health_transitions)
+    rec, recorded_transitions = arms[FallDetector]
+    assert json.dumps(rec.events()) == json.dumps(
+        arms[ScalarDetector][0].events())
     assert rec.incidents, f"{name}: no incident captured"
-    incident = rec.incidents[-1]
-
-    result = replay_incident(incident, model="recorded")
-    assert result["identical"], (name, result)
-    assert result["decision_diffs"] == 0
-    assert result["health_transition_diffs"] == 0
+    for incident in rec.incidents:
+        result = replay_incident(incident, model="recorded")
+        assert result["identical"], (name, result)
+        assert result["decision_diffs"] == 0
+        assert result["health_transition_diffs"] == 0
     # The recorded health transitions really were exercised (sanity: the
     # property is not vacuous for scenarios that degrade the stream).
     if name in ("nan_burst", "gyro_dead"):

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from detector_oracle import ScalarDetector
 
 from repro.alerts import AlertConfig, AlertManager
 from repro.core.detector import DetectorConfig, FallDetector
@@ -91,20 +92,16 @@ def test_stage_timer_flush_observes_stage_sum_into_e2e():
 
 
 def _drive_detector(use_block, accel, gyro, t):
+    """``use_block`` picks the production detector; otherwise the
+    per-sample oracle (``tests/detector_oracle.py``) runs."""
     model = MagnitudeProbeModel()
-    detector = FallDetector(model, CFG, registry=MetricsRegistry(),
-                            stage_clock=_TickClock())
+    cls = FallDetector if use_block else ScalarDetector
+    detector = cls(model, CFG, registry=MetricsRegistry(),
+                   stage_clock=_TickClock())
     hop = CFG.hop_samples
     for start in range(0, len(accel), hop):
         sl = slice(start, start + hop)
-        if use_block:
-            _, requests = detector.push_block(accel[sl], gyro[sl], t[sl])
-        else:
-            requests = []
-            for i in range(start, min(start + hop, len(accel))):
-                _, reqs = detector.push_collect(accel[i], gyro[i],
-                                                float(t[i]))
-                requests.extend(reqs)
+        _, requests = detector.push_block(accel[sl], gyro[sl], t[sl])
         for req in requests:
             prob = float(np.asarray(
                 model.predict(req.window[None])).reshape(-1)[0])
@@ -116,7 +113,8 @@ def _drive_detector(use_block, accel, gyro, t):
 def test_stage_timings_nonnegative_and_sum_to_e2e(use_block):
     """The property pair: every stage cost is finite and non-negative,
     and the flushed stage totals sum to the end-to-end total exactly
-    (modulo float addition order) — on both serving paths."""
+    (modulo float addition order) — on ``push_block`` and on the
+    per-sample oracle."""
     accel, gyro, t = _stream()
     detector = _drive_detector(use_block, accel, gyro, t)
     timer = detector.stages
@@ -162,21 +160,13 @@ def test_stage_attribution_shares():
 def _run_identity_arm(cfg, use_block, accel, gyro, t):
     registry = MetricsRegistry()
     model = MagnitudeProbeModel()
-    detector = FallDetector(model, cfg, registry=registry)
+    cls = FallDetector if use_block else ScalarDetector
+    detector = cls(model, cfg, registry=registry)
     trace = []
     hop = cfg.hop_samples
     for start in range(0, len(accel), hop):
         sl = slice(start, start + hop)
-        if use_block:
-            hits, requests = detector.push_block(accel[sl], gyro[sl], t[sl])
-        else:
-            hits, requests = [], []
-            for i in range(start, min(start + hop, len(accel))):
-                hit, reqs = detector.push_collect(accel[i], gyro[i],
-                                                  float(t[i]))
-                if hit is not None:
-                    hits.append(hit)
-                requests.extend(reqs)
+        hits, requests = detector.push_block(accel[sl], gyro[sl], t[sl])
         for req in requests:
             prob = float(np.asarray(
                 model.predict(req.window[None])).reshape(-1)[0])
@@ -192,7 +182,8 @@ def _run_identity_arm(cfg, use_block, accel, gyro, t):
 def test_stage_timing_leaves_block_identity_untouched():
     """The regression the off-registry design buys: enabling stage
     timing changes neither the observable trace nor the registry
-    snapshot, on either path — so the bit-identity gate stays green."""
+    snapshot, on ``push_block`` or the oracle — so the bit-identity gate
+    stays green."""
     accel, gyro, t = _stream(duration_s=2.0)
     results = {}
     for timing in (False, True):

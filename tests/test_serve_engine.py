@@ -240,6 +240,30 @@ def test_deadline_pressure_sheds_to_fallback_per_stream():
     assert fallback_hits
 
 
+@pytest.mark.parametrize("bad_t", [np.nan, np.inf])
+def test_non_finite_timestamps_never_stall_the_engine(bad_t):
+    """A non-finite timestamp — mid-stream or as the engine's very first
+    — is a missing one to the detector and never becomes the engine
+    clock the SLO windows are evaluated at; every later step runs and
+    the stream stays in service."""
+    engine = _engine(_ConstantModel())
+    engine.submit("first", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), t=bad_t)
+    engine.step()
+    streams = _bench_streams([0])
+    accel, gyro, t = streams["s0"]
+    for i in range(len(t)):
+        engine.submit("s0", accel[i], gyro[i], bad_t if i == 50 else t[i])
+        if (i + 1) % 10 == 0:
+            engine.step()
+    engine.step()
+    assert engine.last_round_t == pytest.approx(float(t[-1]))
+    assert engine.stream_errors == 0
+    report = engine.stream_report()
+    assert report["s0"]["health"] != "quarantined"
+    assert report["first"]["health"] != "quarantined"
+    assert engine.session("s0").detector.clock_anomalies == 1
+
+
 def test_empty_step_is_safe_and_counts_a_batch():
     engine = _engine(_ConstantModel())
     assert engine.step() == []
