@@ -7,7 +7,7 @@ export PYTHONPATH := src
 
 .PHONY: test lint check http-smoke bench profile faults serve-bench \
 	parallel-bench tail-demo alerts-demo fleet-demo fleet-bench slo-demo \
-	quant-demo quant-bench bench-smoke
+	quant-demo quant-bench bench-smoke bench-ab
 
 # tests/test_detector_block.py (the bit-identity gate of push_block,
 # the detector's one ingest path, against the per-sample oracle in
@@ -34,6 +34,22 @@ check: lint test bench-smoke http-smoke fleet-demo slo-demo quant-demo
 # those must keep it green too.
 bench-smoke:
 	$(PYTHON) -m pytest bench -q
+
+# A/B of this checkout against a base revision on the serve-stack
+# benchmark: `make bench-ab BASE=<rev> [ONLY=<w1,w2>] [REPS=10] [SEED=0]`.
+# The base is exported with `git archive` into a temporary directory (a
+# plain copy, not a worktree) that is removed afterwards; results land in
+# .bench_out/ab and bench/diff.py prints the verdicts.  A full run takes
+# ~35 min on 2 cores, so it stays out of `make check`.
+REPS ?= 10
+SEED ?= 0
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [ONLY=<workloads>] [REPS=10] [SEED=0]"; exit 2; }
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive $(BASE) | tar -x -C "$$tmp" && \
+	$(PYTHON) bench/run.py --ab "$$tmp" --reps $(REPS) --seed $(SEED) \
+		$(if $(ONLY),--only $(ONLY)) --out .bench_out/ab && \
+	$(PYTHON) bench/diff.py .bench_out/ab/ab.json
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

@@ -170,6 +170,8 @@ class FleetFront:
         # per pump — the same discipline as ServeEngine.
         self.samples_in = 0
         self.shed_samples = 0
+        #: Samples not accepted: refused as malformed, or for a stream
+        #: with no surviving shard to serve it.
         self.dropped_samples = 0
         self.redelivered_samples = 0
         self.rounds = 0
@@ -229,22 +231,29 @@ class FleetFront:
                t: float | None = None) -> bool:
         """Buffer one sample for its shard; False when shed or dropped.
 
-        Never raises on load: a full shard buffer sheds its oldest
-        sample, and a fleet with no surviving shards drops (both
-        counted).
+        Never raises into the caller: a full shard buffer sheds its
+        oldest sample, a fleet with no surviving shards drops, and a
+        malformed sample (not three numeric readings per sensor, or a
+        non-numeric timestamp) is refused — both counted in
+        ``dropped_samples``.
         """
         home = self.shard_for(stream_id)
         if home is None:
             self.dropped_samples += 1
             return False
-        ax, ay, az = accel_g
-        gx, gy, gz = gyro_dps
-        # Plain-float tuples pickle smaller than ndarray rows and
-        # round-trip float64 exactly — the bit-identity proof depends on
-        # the pipe being lossless.
-        sample = (stream_id, (float(ax), float(ay), float(az)),
-                  (float(gx), float(gy), float(gz)),
-                  None if t is None else float(t))
+        try:
+            ax, ay, az = accel_g
+            gx, gy, gz = gyro_dps
+            # Plain-float tuples pickle smaller than ndarray rows and
+            # round-trip float64 exactly — the bit-identity proof depends
+            # on the pipe being lossless.
+            sample = (stream_id, (float(ax), float(ay), float(az)),
+                      (float(gx), float(gy), float(gz)),
+                      None if t is None else float(t))
+        except (TypeError, ValueError):
+            self.dropped_samples += 1
+            return False
+        t = sample[3]
         shard = self._shards[home]
         shed = False
         if len(shard.pending) >= self.config.queue_capacity:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..alerts import AlertConfig, AlertManager
-from ..core.detector import Detection, DetectorConfig
+from ..core.detector import Detection, DetectorConfig, ingest_lanes
 from ..nn.config import batch_invariant
 from ..obs import (
     FlightConfig,
@@ -52,7 +52,7 @@ from ..obs import (
     get_registry,
     stage_attribution,
 )
-from .session import StreamSession
+from .session import StreamSession, sample_row
 
 __all__ = ["ServeConfig", "ServeEngine"]
 
@@ -279,7 +279,10 @@ class ServeEngine:
 
         Never raises on load: an unknown stream beyond ``max_streams`` is
         rejected and counted, a full queue sheds its oldest sample, and a
-        quarantined stream's samples are dropped.
+        quarantined stream's samples are dropped.  The sample is copied
+        into the queue, so a caller may reuse its buffers at once.  Nor
+        does it raise on a malformed sample: that is queued as such, and
+        the stream is quarantined when it is drained.
         """
         session = self._sessions.get(stream_id)
         if session is None:
@@ -296,17 +299,30 @@ class ServeEngine:
             queue.popleft()
             session.dropped_samples += 1
             self.dropped_samples += 1
-        queue.append((accel_g, gyro_dps, t))
+        # Copy the readings into one flat row of floats, so a caller may
+        # reuse its buffers: ``tolist`` on the (3,) ndarrays callers
+        # pass is the cheap path; anything else goes through sample_row,
+        # which also turns a malformed sample into None, refused at
+        # drain.
+        try:
+            ax, ay, az = accel_g.tolist()
+            gx, gy, gz = gyro_dps.tolist()
+            t = math.nan if t is None else float(t)
+            row = (ax, ay, az, gx, gy, gz, t)
+        except Exception:
+            row = sample_row(accel_g, gyro_dps, t)
+            t = row[6] if row is not None else math.nan
+        queue.append(row)
         if len(queue) > self._peak_queue_depth:
             self._peak_queue_depth = len(queue)
         self.samples_in += 1
-        if (t is not None and math.isfinite(t)
+        if (math.isfinite(t)
                 and (self._latest_t is None or t > self._latest_t)):
             # Fleet stream clock: drives alert confirm-window expiry and
             # auto-resolve even on rounds with no detections.  A
             # non-finite timestamp is "missing" to the detector and never
             # advances the clock the SLO windows are evaluated at.
-            self._latest_t = float(t)
+            self._latest_t = t
         return True
 
     # ------------------------------------------------------------------
@@ -315,10 +331,14 @@ class ServeEngine:
     def step(self) -> list[tuple[str, Detection]]:
         """Drain every queue and run the due windows in micro-batches.
 
-        Each session's whole queue is ingested as one vectorized
-        ``push_block`` (the detector's one ingest path), then one batched
-        forward runs for all staged windows across streams; rounds repeat
-        until every queue is empty.  The queue-depth gauge reports the
+        Each due session's whole queue is drained as one block, and all
+        of the round's blocks go through one
+        :func:`~repro.core.detector.ingest_lanes` call (the detectors'
+        one ingest path): same-length blocks fuse, filter and run their
+        clean-block checks as one lane-stacked pass, and a session whose
+        lane raises is quarantined alone.  Then one batched forward runs
+        for all staged windows across streams; rounds repeat until every
+        queue is empty.  The queue-depth gauge reports the
         deepest any stream's queue got since the previous step (burst
         peaks included), then settles to the post-drain depth so tail
         readers see steady-state 0 between bursts.  Returns
@@ -353,9 +373,11 @@ class ServeEngine:
         return detections
 
     def _advance_round(self, detections) -> list[StreamSession]:
-        """Drain each session's queue as one vectorized block; returns
-        the sessions that staged windows this round."""
-        staged_sessions = []
+        """Drain every due session's queue as one block and ingest all
+        of them in one :func:`~repro.core.detector.ingest_lanes` call;
+        returns the sessions that staged windows this round."""
+        due = []
+        blocks = []
         for session in self._sessions.values():
             if session.quarantined:
                 session.queue.clear()
@@ -364,10 +386,17 @@ class ServeEngine:
                 continue
             try:
                 accel, gyro, t = session.drain_block()
-                hits, requests = session.detector.push_block(accel, gyro, t)
-            except Exception:
-                self._quarantine(session)
+            except Exception as exc:
+                self._quarantine(session, exc)
                 continue
+            due.append(session)
+            blocks.append((session.detector, accel, gyro, t))
+        staged_sessions = []
+        for session, result in zip(due, ingest_lanes(blocks)):
+            if isinstance(result, Exception):
+                self._quarantine(session, result)
+                continue
+            hits, requests = result
             for hit in hits:
                 session.detections += 1
                 self.detections += 1
@@ -487,7 +516,7 @@ class ServeEngine:
         if self._latest_t is not None:
             self.alerts.tick(self._latest_t)
 
-    def _quarantine(self, session) -> None:
+    def _quarantine(self, session, exc=None) -> None:
         session.errors += 1
         session.quarantined = True
         session.queue.clear()
@@ -498,9 +527,9 @@ class ServeEngine:
             # like right before its detector broke the no-raise promise.
             session.recorder.mark("quarantined")
             session.recorder.flush()
-        _logger.exception(
+        _logger.error(
             "detector for stream %r raised; quarantining the session",
-            session.stream_id,
+            session.stream_id, exc_info=exc if exc is not None else True,
         )
 
     # ------------------------------------------------------------------

@@ -3,22 +3,41 @@
 A :class:`StreamSession` is the unit the multi-stream engine schedules:
 it owns the per-stream filter / ring-buffer / health state (a full
 :class:`~repro.core.detector.FallDetector` driven in deferred-inference
-mode), a bounded sample queue, and the per-stream accounting the engine
-reports.  Sessions never run the model themselves — they stage
-:class:`~repro.core.detector.WindowRequest` objects that the engine
-micro-batches across streams.
+mode), a bounded queue of flat sample rows copied at submit, and the
+per-stream accounting the engine reports.  Sessions neither ingest nor
+run the model themselves: each round the engine drains every due
+session into one block, ingests all of them in one lane-stacked
+:func:`~repro.core.detector.ingest_lanes` call, and micro-batches the
+staged :class:`~repro.core.detector.WindowRequest` objects across
+streams.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
 from ..core.detector import DetectorConfig, FallDetector
 from ..obs import FlightRecorder
 
-__all__ = ["StreamSession"]
+__all__ = ["StreamSession", "sample_row"]
+
+
+def sample_row(accel_g, gyro_dps, t) -> tuple | None:
+    """One queued sample as a flat ``(ax, ay, az, gx, gy, gz, t)`` tuple
+    of floats that shares nothing with the caller (``t`` NaN when
+    missing), or ``None`` when the sample is malformed — not three
+    numbers per sensor, or a non-numeric timestamp — which
+    :meth:`StreamSession.drain_block` refuses."""
+    try:
+        ax, ay, az = np.asarray(accel_g, dtype=float).reshape(3).tolist()
+        gx, gy, gz = np.asarray(gyro_dps, dtype=float).reshape(3).tolist()
+        return (ax, ay, az, gx, gy, gz, math.nan if t is None else float(t))
+    except (TypeError, ValueError):
+        return None
 
 
 class StreamSession:
@@ -66,7 +85,7 @@ class StreamSession:
             recorder=self.recorder, stage_clock=stage_clock,
         )
         self.queue: deque = deque()
-        #: Requests staged by the last ``push_block`` and not yet
+        #: Requests staged by the stream's last ingest and not yet
         #: completed; the engine drains this every inference round.
         self.staged: list = []
         self.dropped_samples = 0
@@ -75,25 +94,24 @@ class StreamSession:
         self.quarantined = False
 
     def drain_block(self):
-        """Pop every queued sample, stacked for ``FallDetector.push_block``.
+        """Pop every queued sample, stacked as one detector block.
 
         Returns ``(accel (n, 3), gyro (n, 3), t)`` where ``t`` is ``None``
         when no queued sample carried a timestamp, else a float array with
-        NaN marking the untimestamped entries.  Malformed queued samples
-        make the stacking raise, and the engine's quarantine containment
+        NaN marking the untimestamped entries.  A malformed queued sample
+        makes the stacking raise, and the engine's quarantine containment
         takes the stream out of service.
         """
         queue = self.queue
         n = len(queue)
-        accel = np.array([s[0] for s in queue], dtype=float).reshape(n, 3)
-        gyro = np.array([s[1] for s in queue], dtype=float).reshape(n, 3)
-        ts = [s[2] for s in queue]
-        queue.clear()
-        if any(v is not None for v in ts):
-            t = np.array([np.nan if v is None else float(v) for v in ts])
-        else:
-            t = None
-        return accel, gyro, t
+        try:
+            block = np.fromiter(chain.from_iterable(queue), float, 7 * n)
+        finally:
+            queue.clear()
+        block = block.reshape(n, 7)
+        t = block[:, 6]
+        return (block[:, :3], block[:, 3:6],
+                None if np.isnan(t).all() else t)
 
     @property
     def health(self) -> str:

@@ -284,3 +284,44 @@ class OnlineSosFilter:
         y = np.array(samples.T, order="C")
         _sosfilt(self.sos, y, self._state)
         return y.T
+
+    @staticmethod
+    def process_lanes(filters, samples) -> np.ndarray:
+        """:meth:`process` for many streams in one kernel call.
+
+        ``filters`` share one design (``sos`` and ``channels``);
+        ``samples`` stacks one block per filter as ``(lanes, n,
+        channels)``.  Each lane's state is gathered from its filter,
+        primed or self-healed exactly as :meth:`process` would, the
+        kernel runs once over the ``(lanes * channels, n)`` signal, and
+        each lane's exit state is scattered back.  The kernel filters
+        every signal row independently, so the output and states are
+        bit-identical to one :meth:`process` call per lane.
+        """
+        from scipy.signal._sosfilt import _sosfilt
+
+        samples = np.asarray(samples, dtype=float)
+        lanes, n, channels = samples.shape
+        sos = filters[0].sos
+        for f in filters:
+            if f.channels != channels or not (
+                    f.sos is sos or np.array_equal(f.sos, sos)):
+                raise ValueError(
+                    "process_lanes needs filters sharing one design")
+        state = np.empty((lanes, channels) + filters[0]._zi_template.shape)
+        primed = np.zeros(lanes, dtype=bool)
+        for lane, f in enumerate(filters):
+            if f._state is not None:
+                state[lane] = f._state
+                primed[lane] = True
+        healthy = np.isfinite(state.reshape(lanes, -1)).all(axis=1)
+        for lane in np.flatnonzero(~(primed & healthy)).tolist():
+            f = filters[lane]
+            state[lane] = f._zi_template * samples[lane, 0][:, None, None]
+        # Always a copy: the kernel filters in place.
+        y = np.array(samples.transpose(0, 2, 1), order="C")
+        _sosfilt(sos, y.reshape(lanes * channels, n),
+                 state.reshape((lanes * channels,) + state.shape[2:]))
+        for lane, f in enumerate(filters):
+            f._state = state[lane]
+        return y.transpose(0, 2, 1)

@@ -136,13 +136,77 @@ class ComplementaryFilter:
         self._angles = np.array(state)
         return out
 
+    @staticmethod
+    def update_lanes(filters, accel_g, gyro_dps, reset_rows=None):
+        """:meth:`update_block` lifted across streams: one time loop, all
+        streams wide.
+
+        ``filters`` are the streams' filters (sharing ``fs`` and ``tau``)
+        and ``accel_g`` / ``gyro_dps`` their blocks stacked ``(lanes, n,
+        3)``; ``reset_rows`` optionally gives each lane its
+        :meth:`update_block` reset rows.  Each lane's entry state is read
+        from its filter and its exit state written back; returns the
+        angles ``(lanes, n, 3)``.
+
+        Bit-identical to one :meth:`update_block` per lane: every step
+        runs ``alpha * (angle + rate * dt) + (1 - alpha) * angle_acc`` as
+        elementwise ufuncs in the scalar pass's operation order (yaw rides
+        along with gain 1 and blend 0, both exact), and bootstrap rows —
+        an unprimed lane's first row, a reset row — overwrite the lane
+        with the accelerometer angles and zero yaw.
+        """
+        first = filters[0]
+        alpha, dt = first.alpha, first.dt
+        for f in filters:
+            if f.alpha != alpha or f.dt != dt:
+                raise ValueError("update_lanes needs filters sharing fs and tau")
+        lanes, n = accel_g.shape[:2]
+        out = np.empty((lanes, n, 3))
+        if n == 0:
+            return out
+        # Operands with columns in (pitch, roll, yaw) order: the
+        # accelerometer angles (yaw has none) and the gyro rates.
+        acc = np.zeros((lanes, n, 3))
+        pitch_acc, roll_acc = accel_inclination(accel_g.reshape(-1, 3))
+        acc[:, :, 0] = pitch_acc.reshape(lanes, n)
+        acc[:, :, 1] = roll_acc.reshape(lanes, n)
+        step = gyro_dps[:, :, [1, 0, 2]] * dt
+        blend = (1.0 - alpha) * acc
+        gain = np.array([alpha, alpha, 1.0])
+        state = np.zeros((lanes, 3))
+        boot: dict[int, list[int]] = {}
+        for lane, f in enumerate(filters):
+            if f._angles is None:
+                boot.setdefault(0, []).append(lane)
+            else:
+                state[lane] = f._angles
+        for lane, rows in enumerate(reset_rows or ()):
+            for row in rows or ():
+                boot.setdefault(row, []).append(lane)
+        for i in range(n):
+            np.add(state, step[:, i], out=state)
+            np.multiply(state, gain, out=state)
+            np.add(state, blend[:, i], out=state)
+            fresh = boot.get(i)
+            if fresh is not None:
+                state[fresh] = acc[fresh, i]
+            out[:, i] = state
+        for lane, f in enumerate(filters):
+            f._angles = state[lane]
+        return out
+
     def process(self, accel_g: np.ndarray, gyro_dps: np.ndarray) -> np.ndarray:
         """Fuse whole aligned arrays ``(n, 3)``; returns angles ``(n, 3)``.
 
-        Produces bit-identical results to calling :meth:`update` sample by
-        sample (the recurrence is a first-order IIR, evaluated here with a
-        vectorised filter for dataset-scale speed).  Ignores and resets any
-        streaming state.
+        Matches calling :meth:`update` sample by sample to within
+        ``1e-9`` degrees, not bit for bit: the recurrence is a first-order
+        IIR, evaluated here with ``lfilter`` for dataset-scale speed, and
+        ``lfilter`` computes ``alpha * angle + u`` with ``u`` folded ahead
+        of time where :meth:`update` computes ``alpha * (angle + rate *
+        dt) + (1 - alpha) * angle_acc``.  The two orders round
+        differently: on 30 s synthetic streams nearly every row differs,
+        by up to ~1e-13 degrees.  Ignores and resets any streaming
+        state.
         """
         from scipy.signal import lfilter
 

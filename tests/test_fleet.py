@@ -114,6 +114,32 @@ class TestBackpressure:
         finally:
             front.close()
 
+    def test_malformed_sample_is_refused_and_counted(self):
+        """``submit`` never raises into the caller: a sample that is not
+        three numbers per sensor (or has a non-numeric timestamp) is
+        refused and counted as dropped, and the stream keeps serving."""
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=1, serve=_serve_config()),
+            registry=MetricsRegistry(),
+        )
+        try:
+            bad = [((0.0, 1.0), (0.0, 0.0, 0.0), 0.0),
+                   (("x", 0.0, 1.0), (0.0, 0.0, 0.0), 0.0),
+                   (None, (0.0, 0.0, 0.0), 0.0),
+                   ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), "later")]
+            for accel, gyro, t in bad:
+                assert front.submit("s0", accel, gyro, t=t) is False
+            assert front.dropped_samples == len(bad)
+            assert front.samples_in == 0
+            assert front.submit("s0", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+                                t=0.01) is True
+            front.drain()
+            front.close()
+            assert front.stream_report()["s0"]["health"] == "healthy"
+        finally:
+            front.close()
+
     def test_no_surviving_shard_drops_instead_of_raising(self):
         # max_restarts=1 with crashes recurring before any healthy round
         # (a healthy round resets the backoff by design), so the shard

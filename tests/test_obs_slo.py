@@ -18,7 +18,12 @@ import pytest
 from detector_oracle import ScalarDetector
 
 from repro.alerts import AlertConfig, AlertManager
-from repro.core.detector import DetectorConfig, FallDetector
+from repro.core.detector import (
+    _STACK_MIN_LANES,
+    DetectorConfig,
+    FallDetector,
+    ingest_lanes,
+)
 from repro.experiments import SLOEvalConfig, run_slo_eval
 from repro.experiments.alerts_runner import MagnitudeProbeModel
 from repro.obs import (
@@ -91,46 +96,62 @@ def test_stage_timer_flush_observes_stage_sum_into_e2e():
     assert timer.totals_ms["filter"] == 0.0
 
 
-def _drive_detector(use_block, accel, gyro, t):
-    """``use_block`` picks the production detector; otherwise the
-    per-sample oracle (``tests/detector_oracle.py``) runs."""
+def _drive_detectors(mode, n_lanes=1):
+    """``n_lanes`` streams sharing one injected stage clock, hop-sized
+    blocks completed as they stage.  ``mode`` picks the per-sample
+    oracle (``tests/detector_oracle.py``), lane-by-lane ``push_block``,
+    or one ``ingest_lanes`` round per hop (stacked once ``n_lanes``
+    reaches the threshold)."""
     model = MagnitudeProbeModel()
-    cls = FallDetector if use_block else ScalarDetector
-    detector = cls(model, CFG, registry=MetricsRegistry(),
-                   stage_clock=_TickClock())
+    cls = ScalarDetector if mode == "oracle" else FallDetector
+    clock = _TickClock()
+    streams = [_stream(index=i) for i in range(n_lanes)]
+    detectors = [cls(model, CFG, registry=MetricsRegistry(),
+                     stage_clock=clock) for _ in streams]
     hop = CFG.hop_samples
-    for start in range(0, len(accel), hop):
+    for start in range(0, len(streams[0][0]), hop):
         sl = slice(start, start + hop)
-        _, requests = detector.push_block(accel[sl], gyro[sl], t[sl])
-        for req in requests:
-            prob = float(np.asarray(
-                model.predict(req.window[None])).reshape(-1)[0])
-            detector.complete(req, prob, latency_ms=0.5)
-    return detector
+        blocks = [(det, accel[sl], gyro[sl], t[sl])
+                  for det, (accel, gyro, t) in zip(detectors, streams)]
+        if mode == "lanes":
+            results = ingest_lanes(blocks)
+        else:
+            results = [det.push_block(*block) for det, *block in blocks]
+        for det, (_, requests) in zip(detectors, results):
+            for req in requests:
+                prob = float(np.asarray(
+                    model.predict(req.window[None])).reshape(-1)[0])
+                det.complete(req, prob, latency_ms=0.5)
+    return detectors
 
 
-@pytest.mark.parametrize("use_block", [False, True])
-def test_stage_timings_nonnegative_and_sum_to_e2e(use_block):
+@pytest.mark.parametrize("mode", ["oracle", "block", "lanes"])
+def test_stage_timings_nonnegative_and_sum_to_e2e(mode):
     """The property pair: every stage cost is finite and non-negative,
     and the flushed stage totals sum to the end-to-end total exactly
-    (modulo float addition order) — on ``push_block`` and on the
-    per-sample oracle."""
-    accel, gyro, t = _stream()
-    detector = _drive_detector(use_block, accel, gyro, t)
-    timer = detector.stages
-    report = detector.stage_report()
-    assert report["windows"] > 0
-    for stage in STAGES:
-        stats = report["stages"][stage]
-        assert np.isfinite(stats["mean"]) and stats["mean"] >= 0.0
-        assert timer.totals_ms[stage] >= 0.0
-        assert timer.histograms[stage].count == report["windows"]
-    e2e_total = report["e2e"]["mean"] * report["windows"]
-    assert sum(timer.totals_ms.values()) == pytest.approx(e2e_total,
-                                                          rel=1e-9)
-    # inference was charged through complete()'s latency_ms
-    assert timer.totals_ms["inference"] == pytest.approx(
-        0.5 * report["windows"])
+    (modulo float addition order) — on ``push_block``, on the per-sample
+    oracle, and on every lane of stacked ``ingest_lanes`` rounds, where
+    each lane is charged its row share of every stacked phase."""
+    n_lanes = _STACK_MIN_LANES if mode == "lanes" else 1
+    for detector in _drive_detectors(mode, n_lanes):
+        timer = detector.stages
+        report = detector.stage_report()
+        assert report["windows"] > 0
+        for stage in STAGES:
+            stats = report["stages"][stage]
+            assert np.isfinite(stats["mean"]) and stats["mean"] >= 0.0
+            assert timer.totals_ms[stage] >= 0.0
+            assert timer.histograms[stage].count == report["windows"]
+        e2e_total = report["e2e"]["mean"] * report["windows"]
+        assert sum(timer.totals_ms.values()) == pytest.approx(e2e_total,
+                                                              rel=1e-9)
+        # inference was charged through complete()'s latency_ms
+        assert timer.totals_ms["inference"] == pytest.approx(
+            0.5 * report["windows"])
+        if mode == "lanes":
+            # Stacked phases were charged, in row shares of the tick.
+            assert timer.totals_ms["fusion"] > 0.0
+            assert timer.totals_ms["filter"] > 0.0
 
 
 def test_stage_timer_merge_is_fleet_rollup():

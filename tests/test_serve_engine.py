@@ -183,8 +183,53 @@ def test_queue_overflow_sheds_oldest_and_counts():
     assert len(session.queue) == 4
     assert session.dropped_samples == 6
     assert engine.dropped_samples == 6
-    # The freshest samples survived.
-    assert session.queue[0][2] == pytest.approx(0.06)
+    # The freshest samples survived (a queued row is [*accel, *gyro, t]).
+    assert session.queue[0][-1] == pytest.approx(0.06)
+
+
+def test_submit_copies_the_sample_so_callers_may_reuse_buffers():
+    """A caller that writes one buffer, submits it and repeats must get
+    exactly what it would by submitting copies: the queue holds values,
+    not the caller's arrays (were it to hold the arrays, every queued
+    sample would read back as the last write and look stuck)."""
+    accel, gyro, t = _bench_streams([1])["s1"]
+    engines = {}
+    for reuse in (True, False):
+        engine = _engine(_ConstantModel())
+        a_buf, g_buf = np.empty(3), np.empty(3)
+        for i in range(60):
+            if reuse:
+                a_buf[:] = accel[i]
+                g_buf[:] = gyro[i]
+                engine.submit("s", a_buf, g_buf, t[i])
+            else:
+                engine.submit("s", accel[i].copy(), gyro[i].copy(), t[i])
+        engine.step()
+        engines[reuse] = engine.session("s").detector
+    reused, copied = engines[True], engines[False]
+    assert reused.health == copied.health == "healthy"
+    assert reused.health_transitions == copied.health_transitions == []
+    assert reused.health_report() == copied.health_report()
+    np.testing.assert_array_equal(reused._buffer, copied._buffer)
+
+
+@pytest.mark.parametrize("accel", [None, (0.0, 1.0), ("x", 0.0, 1.0),
+                                   np.zeros((2, 3))])
+def test_malformed_sample_is_queued_then_quarantines_its_stream(accel):
+    """``submit`` never raises on a malformed sample; draining it
+    quarantines that stream alone."""
+    engine = _engine(_ConstantModel())
+    streams = _bench_streams([0, 1])
+    ok_accel, ok_gyro, ok_t = streams["s0"]
+    assert engine.submit("bad", accel, np.zeros(3), 0.0) is True
+    for i in range(20):
+        engine.submit("s0", ok_accel[i], ok_gyro[i], ok_t[i])
+    engine.step()
+    report = engine.stream_report()
+    assert report["bad"]["health"] == "quarantined"
+    assert report["s0"]["health"] == "healthy"
+    assert engine.stream_errors == 1
+    assert engine.session("s0").detector.samples_seen == 20
 
 
 def test_queue_depth_gauge_reports_burst_peak_then_steady_state():
