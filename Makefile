@@ -5,9 +5,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint check http-smoke bench profile faults serve-bench \
-	parallel-bench tail-demo alerts-demo fleet-demo fleet-bench slo-demo \
-	quant-demo quant-bench bench-smoke bench-ab
+.PHONY: test lint check http-smoke bench profile faults parallel-bench \
+	tail-demo alerts-demo slo-demo bench-smoke bench-ab
 
 # tests/test_detector_block.py (the bit-identity gate of push_block,
 # the detector's one ingest path, against the per-sample oracle in
@@ -25,7 +24,7 @@ lint:
 http-smoke:
 	$(PYTHON) scripts/http_smoke.py
 
-check: lint test bench-smoke http-smoke fleet-demo slo-demo quant-demo
+check: lint test bench-smoke http-smoke slo-demo
 
 # The serve-stack benchmark's own tests (a tiny orchestrated run of every
 # workload, the A/B pairing, the diff verdicts and the tracing wrappers).
@@ -61,9 +60,6 @@ faults:
 	$(PYTHON) -m pytest tests -q -k "faults" && \
 	$(PYTHON) -m repro --scale quick faults --incident-dir benchmarks/results/incidents
 
-serve-bench:
-	$(PYTHON) -m pytest benchmarks/test_bench_serve.py -q
-
 # Parallel fold/grid scaling + cache warm-start numbers, archived to
 # benchmarks/results/parallel_scaling.txt.
 parallel-bench:
@@ -78,17 +74,6 @@ tail-demo:
 	$(PYTHON) scripts/check_metric_names.py --exposition \
 		benchmarks/results/serve_exposition.prom
 
-# Small sharded-fleet run (bit-identity + worker-kill failover arms) as
-# a fast end-to-end gate for `make check`; `timeout` guards wall clock
-# so a wedged worker/supervisor fails the build instead of hanging it.
-fleet-demo:
-	timeout 300 $(PYTHON) -m repro fleet-bench --streams 12 --shards 3
-
-# Full fleet scaling benchmark (>= 64 streams / 4 shards), archived to
-# benchmarks/results/fleet_scaling.txt with the merged exposition linted.
-fleet-bench:
-	timeout 900 $(PYTHON) -m pytest benchmarks/test_bench_fleet.py -q
-
 # Scenario-driven alert-pipeline evaluation with persistent event stores
 # under benchmarks/results/alert_stores/; the report is archived for
 # scripts/update_experiments_md.py (ALERTS placeholder).
@@ -97,18 +82,6 @@ alerts-demo:
 	$(PYTHON) -m repro alerts --duration 6 \
 		--store-dir benchmarks/results/alert_stores \
 		| tee benchmarks/results/alert_pipeline.txt
-
-# Small quantized-serving run (float32 / int8 / int8+pruned arms with
-# the bit-identity contract checks) as a fast end-to-end gate for
-# `make check`; `timeout` guards wall clock.
-quant-demo:
-	timeout 600 $(PYTHON) -m repro --scale quick quant-bench \
-		--streams 8 --duration 2
-
-# Full quantized-serving benchmark (32 streams, speedup + sensitivity
-# gates), archived to benchmarks/results/quant_scaling.txt.
-quant-bench:
-	timeout 900 $(PYTHON) -m pytest benchmarks/test_bench_quant.py -q
 
 # SLO engine end to end: budget attribution, error-budget accounting and
 # the synthetic-overload fast-burn alert, archived for

@@ -9,6 +9,7 @@ paper-vs-measured table, prints it, and archives it under
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 
@@ -69,3 +70,34 @@ def save_report():
         print(f"\n{text}\n[saved to {path}]")
 
     return _save
+
+
+@pytest.fixture(scope="session")
+def replay():
+    """Callable serving streams through one engine, timed.
+
+    ``replay(model, streams, backend="float32")`` submits the
+    ``{stream_id: (accel, gyro, t)}`` samples round-robin across streams
+    and steps once per detector hop, like a live fleet.  Returns
+    ``(engine, wall_s)``; ``engine.inference_seconds`` is the time spent
+    inside the batched forwards.
+    """
+    from repro.obs.metrics import MetricsRegistry
+    from repro.serve import ServeConfig, ServeEngine
+
+    def _replay(model, streams, backend="float32"):
+        engine = ServeEngine(model, ServeConfig(backend=backend),
+                             registry=MetricsRegistry())
+        hop = engine.config.detector.hop_samples
+        n = max(len(t) for _, _, t in streams.values())
+        t0 = time.perf_counter()
+        for i in range(n):
+            for stream_id, (accel, gyro, t) in streams.items():
+                if i < len(t):
+                    engine.submit(stream_id, accel[i], gyro[i], t[i])
+            if (i + 1) % hop == 0:
+                engine.step()
+        engine.step()
+        return engine, time.perf_counter() - t0
+
+    return _replay

@@ -1,57 +1,103 @@
-"""Quantized-serving benchmark: int8 must be the production fast path.
+"""Quantized-serving gate: int8 must be the production fast path.
 
-Trains the paper's CNN, converts it to int8 (plus a pruned + fine-tuned
-variant), replays the same 32-stream fleet through each backend, and
-gates the claims that make int8 worth shipping: the integer kernels must
-beat float32 on the inference stage, pruning must beat plain int8, the
-deployed-arithmetic contract must hold bit-for-bit, and event-level
-sensitivity must match the float arm.
+Trains the paper's CNN at the experiment scale, converts it to int8 and
+to a structurally pruned (50% of conv filters), fine-tuned int8 variant,
+then replays the same 32-stream fleet (8 s each, seed 7) through one
+:class:`~repro.serve.ServeEngine` per backend.  The integer kernels must
+beat float32 on the inference stage by 1.5x, pruning must beat plain
+int8, and each integer arm's event-level sensitivity must stay within
+20 percentage points of float32's.  The deployed-arithmetic contract and
+the pruned model's MAC and weight-byte cut are proven in
+``tests/test_quant_kernels.py``.
 """
 
 from __future__ import annotations
 
-from repro.quant.bench import (
-    QuantBenchConfig,
-    render_quant_report,
-    run_quant_benchmark,
+import numpy as np
+
+from repro.core.architecture import build_lightweight_cnn
+from repro.core.detector import DetectorConfig
+from repro.core.trainer import class_weights, train_model
+from repro.experiments import run_fault_scenarios
+from repro.experiments.runners import (
+    _segments_for,
+    build_experiment_dataset,
+    training_config,
 )
+from repro.faults import synth_stream
+from repro.quant import QuantizedModel, fine_tune, structured_prune
+
+ARMS = ("float32", "int8", "int8_pruned")
 
 
-def test_bench_quant_scaling(save_report):
-    config = QuantBenchConfig(n_streams=32, duration_s=8.0, seed=7)
-    report = run_quant_benchmark(config)
-    arms = report["arms"]
+def _train_arms(scale, window_ms):
+    """Float model plus its int8 and pruned-int8 conversions."""
+    segments = _segments_for(build_experiment_dataset(scale), window_ms, 0.5)
+    subjects = list(segments.subjects)
+    train = segments.by_subjects(subjects[:-2])
+    val = segments.by_subjects([subjects[-2]])
+    tc = training_config(scale, epochs=min(scale.epochs, 4),
+                         patience=min(scale.patience, 4))
+    model, _ = train_model(build_lightweight_cnn, train, val, tc)
+    calibration = train.X[:256].astype(np.float32)
+
+    pruned, _ = structured_prune(model, 0.5)
+    pruned.compile("adam", "binary_crossentropy")
+    # Same class weighting as the original training run: without it the
+    # recovery epochs drift toward the majority (ADL) class and give the
+    # sensitivity back.
+    weights = class_weights(train.y)
+    fine_tune(pruned, train.X, train.y.astype(float)[:, None], epochs=2,
+              batch_size=scale.batch_size, seed=scale.seed,
+              sample_weight=np.array([weights.get(int(label), 1.0)
+                                      for label in train.y.astype(int)]))
+    return {
+        "float32": model,
+        "int8": QuantizedModel.convert(model, calibration),
+        "int8_pruned": QuantizedModel.convert(pruned, calibration),
+    }
+
+
+def test_bench_quant_scaling(scale, replay):
+    config = DetectorConfig()
+    window_ms = 1000.0 * config.window_samples / config.fs
+    models = _train_arms(scale, window_ms)
+    streams = {f"s{i:03d}": synth_stream(i, duration_s=8.0, seed=7)
+               for i in range(32)}
+
+    # Interleave the arms across three reps and keep each arm's fastest
+    # inference stage, so a slow patch of the box cannot punish one arm.
+    inference_s = {}
+    windows = set()
+    for _ in range(3):
+        for arm in ARMS:
+            backend = "float32" if arm == "float32" else "int8"
+            engine, _ = replay(models[arm], streams, backend)
+            windows.add(engine.report()["windows_inferred"])
+            inference_s[arm] = min(inference_s.get(arm, np.inf),
+                                   engine.inference_seconds)
+    sensitivity = {
+        arm: run_fault_scenarios(scale, scenarios=[], model=models[arm],
+                                 window_ms=window_ms)["clean"]["sensitivity"]
+        for arm in ARMS
+    }
+    int8_speedup = inference_s["float32"] / inference_s["int8"]
+    pruned_speedup = inference_s["int8"] / inference_s["int8_pruned"]
+    print(f"\nquant: inference float32 {inference_s['float32']:.3f} s, "
+          f"int8 {inference_s['int8']:.3f} s ({int8_speedup:.2f}x), "
+          f"int8_pruned {inference_s['int8_pruned']:.3f} s "
+          f"({pruned_speedup:.2f}x vs int8); sensitivity "
+          + ", ".join(f"{arm} {sensitivity[arm]:.1f}%" for arm in ARMS))
 
     # Scheduling is backend-independent: every arm inferred the same
     # windows, so the timing comparison is apples to apples.
-    windows = {a["windows_inferred"] for a in arms.values()}
     assert len(windows) == 1 and windows.pop() > 0
-
     # The headline gate: batched integer kernels make serving inference
     # at least 1.5x faster than float32, and pruning buys more on top.
-    assert report["int8_speedup"] >= 1.5
-    assert report["pruned_speedup_vs_int8"] > 1.0
-
-    # Deployed-arithmetic contract: the fast path is bit-identical to
-    # the reference lowering and bitwise batch-invariant, for both the
-    # full and the pruned model.
-    for checks in report["contracts"].values():
-        assert checks["bit_identical"]
-        assert checks["batch_invariant"]
-
+    assert int8_speedup >= 1.5
+    assert pruned_speedup > 1.0
     # "The model's performance remains unchanged after quantization":
-    # event-level sensitivity of each integer arm within tolerance of
-    # the float arm on the clean fleet replay.
-    float_sens = arms["float32"]["sensitivity"]["sensitivity"]
-    tolerance = config.sensitivity_tolerance_pp
+    # each integer arm's event-level sensitivity on the clean fleet
+    # replay within 20 percentage points of the float arm.
     for arm in ("int8", "int8_pruned"):
-        sens = arms[arm]["sensitivity"]["sensitivity"]
-        assert abs(sens - float_sens) <= tolerance
-
-    # Pruning must show up in the cost model, not just the clock.
-    models = report["models"]
-    assert models["int8_pruned"]["macs"] < models["int8"]["macs"]
-    assert (models["int8_pruned"]["weight_bytes"]
-            < models["int8"]["weight_bytes"])
-
-    save_report("quant_scaling", render_quant_report(report))
+        assert abs(sensitivity[arm] - sensitivity["float32"]) <= 20.0

@@ -57,10 +57,6 @@ _PRAGMA = "# metric-name: dynamic"
 #: mid-string; the objectives are enumerated by ``SLOConfig.objectives``
 #: so the namespace is bounded without a per-site pragma.
 _SLO_PREFIX = "slo/"
-#: ``quant/<arm>/<metric>`` interpolates the benchmark arm mid-string;
-#: the arms are the fixed float32/int8/int8_pruned trio enumerated by
-#: ``repro.quant.bench._ARMS``, so the namespace is bounded.
-_QUANT_PREFIX = "quant/"
 
 _FAMILY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _TYPE_LINE_RE = re.compile(r"^# TYPE (?P<family>\S+) (?P<kind>\S+)$")
@@ -84,8 +80,8 @@ def _check_fstring(node: ast.JoinedStr, line: str) -> str | None:
     has_pragma = _PRAGMA in line
     first = node.values[0] if node.values else None
     if (isinstance(first, ast.Constant)
-            and str(first.value).startswith((_SLO_PREFIX, _QUANT_PREFIX))):
-        has_pragma = True  # bounded grammars, see _SLO_PREFIX/_QUANT_PREFIX
+            and str(first.value).startswith(_SLO_PREFIX)):
+        has_pragma = True  # bounded grammar, see _SLO_PREFIX
     for position, part in enumerate(node.values):
         if isinstance(part, ast.Constant):
             if not _FRAGMENT_RE.match(str(part.value)):

@@ -35,10 +35,7 @@ MAPPING = {
     "DISTILL": "distillation.txt",
     "PARALLEL": "parallel_scaling.txt",
     "ALERTS": "alert_pipeline.txt",
-    "SERVE": "serve_scaling.txt",
-    "FLEET": "fleet_scaling.txt",
     "SLO": "slo_report.txt",
-    "QUANT": "quant_scaling.txt",
 }
 
 

@@ -13,9 +13,6 @@ Usage::
     python -m repro dataset --out corpus.npz --subjects 4
     python -m repro profile --scale quick --trace-out trace.jsonl
     python -m repro faults --scenarios dropout gyro_dead
-    python -m repro serve-bench --streams 32 --duration 8
-    python -m repro quant-bench --streams 32 --prune-fraction 0.5
-    python -m repro fleet-bench --streams 64 --shards 4
     python -m repro alerts --scenarios spikes nan_burst
     python -m repro slo --scenarios nan_burst spikes
     python -m repro serve-http --port 8787 --serve-for 60
@@ -181,56 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the closing Prometheus exposition here")
     tail.add_argument("--incident-dir", default=None,
                       help="write per-stream incident files here")
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="multi-stream serving benchmark: micro-batched ServeEngine "
-             "vs sequential per-stream detectors",
-    )
-    serve_bench.add_argument("--streams", type=int, default=32,
-                             help="number of concurrent synthetic streams")
-    serve_bench.add_argument("--duration", type=float, default=8.0,
-                             help="seconds of signal per stream")
-    serve_bench.add_argument("--seed", type=int, default=7,
-                             help="workload generator seed")
-    quant_bench = sub.add_parser(
-        "quant-bench",
-        help="quantized serving benchmark: float32 vs int8 vs int8+pruned "
-             "backends through ServeEngine, with sensitivity parity",
-    )
-    quant_bench.add_argument("--streams", type=int, default=32,
-                             help="number of concurrent synthetic streams")
-    quant_bench.add_argument("--duration", type=float, default=8.0,
-                             help="seconds of signal per stream")
-    quant_bench.add_argument("--seed", type=int, default=7,
-                             help="workload generator seed")
-    quant_bench.add_argument("--prune-fraction", type=float, default=0.5,
-                             help="fraction of conv filters removed by "
-                                  "structured pruning")
-    fleet_bench = sub.add_parser(
-        "fleet-bench",
-        help="sharded fleet serving benchmark: N worker processes vs a "
-             "single engine (bit-identity), plus a worker-kill failover "
-             "arm with crash recovery",
-    )
-    fleet_bench.add_argument("--streams", type=int, default=64,
-                             help="population size across the fleet")
-    fleet_bench.add_argument("--shards", type=int, default=4,
-                             help="worker processes to shard onto")
-    fleet_bench.add_argument("--duration-scale", type=float, default=0.35,
-                             help="compress nominal task durations")
-    fleet_bench.add_argument("--seed", type=int, default=19,
-                             help="population generator seed")
-    fleet_bench.add_argument("--kill-shard", type=int, default=1,
-                             help="shard the worker-kill scenario targets")
-    fleet_bench.add_argument("--kill-at", type=float, default=2.0,
-                             help="stream-seconds into the run to SIGKILL "
-                                  "the target shard")
-    fleet_bench.add_argument("--no-kill", action="store_true",
-                             help="skip the failover arm (bit-identity "
-                                  "comparison only)")
-    fleet_bench.add_argument("--store-dir", default=None,
-                             help="persist the kill arm's alert event "
-                                  "store here")
     alerts = sub.add_parser(
         "alerts",
         help="alert-pipeline evaluation: serve a synthetic fleet under "
@@ -503,65 +450,6 @@ def _cmd_tail(args):
     return output
 
 
-def _cmd_serve_bench(args):
-    from .core.architecture import build_lightweight_cnn
-    from .serve import ServeBenchConfig, render_serve_report, run_serve_benchmark
-
-    config = ServeBenchConfig(
-        n_streams=args.streams,
-        duration_s=args.duration,
-        seed=args.seed,
-    )
-    model = build_lightweight_cnn(config.detector.window_samples)
-    return render_serve_report(run_serve_benchmark(model, config))
-
-
-def _cmd_quant_bench(scale, args):
-    from .quant.bench import (
-        QuantBenchConfig,
-        render_quant_report,
-        run_quant_benchmark,
-    )
-
-    config = QuantBenchConfig(
-        n_streams=args.streams,
-        duration_s=args.duration,
-        seed=args.seed,
-        prune_fraction=args.prune_fraction,
-    )
-    return render_quant_report(run_quant_benchmark(config, scale))
-
-
-def _cmd_fleet_bench(args):
-    from .core.detector import DetectorConfig
-    from .experiments import MagnitudeProbeModel
-    from .fleet import (
-        FleetBenchConfig,
-        WorkerKill,
-        render_fleet_report,
-        run_fleet_benchmark,
-    )
-
-    kill = (None if args.no_kill
-            else WorkerKill(shard=args.kill_shard, at_s=args.kill_at))
-    config = FleetBenchConfig(
-        n_streams=args.streams,
-        n_shards=args.shards,
-        seed=args.seed,
-        detector=DetectorConfig(),
-        duration_scale=args.duration_scale,
-        kill=kill,
-        store_dir=args.store_dir,
-    )
-    # The deterministic probe model: an untrained CNN's detections are
-    # noise, and the benchmark is about the serving fabric, not the net.
-    result = run_fleet_benchmark(MagnitudeProbeModel(), config)
-    report = render_fleet_report(result)
-    if args.store_dir is not None and kill is not None:
-        report += f"\n[kill-arm event store under {args.store_dir}]"
-    return report
-
-
 def _cmd_alerts(args):
     from .core.detector import DetectorConfig
     from .experiments import AlertEvalConfig, run_alert_eval
@@ -755,12 +643,6 @@ def main(argv=None) -> int:
         return code
     elif args.command == "tail":
         output = _cmd_tail(args)
-    elif args.command == "serve-bench":
-        output = _cmd_serve_bench(args)
-    elif args.command == "quant-bench":
-        output = _cmd_quant_bench(scale, args)
-    elif args.command == "fleet-bench":
-        output = _cmd_fleet_bench(args)
     elif args.command == "alerts":
         output = _cmd_alerts(args)
     elif args.command == "slo":

@@ -10,8 +10,8 @@ expired / auto-resolved — plus what landed in the persistent event
 store.
 
 The fleet per scenario (all streams use quiet ADL bases — the
-serve-bench indices that carry built-in fall events are skipped so
-every event below is injected deliberately):
+:func:`~repro.faults.synth_stream` indices that carry built-in fall
+events are skipped so every event below is injected deliberately):
 
 * stream 0 carries two synthetic high-g *fall pulses* — the true
   positive every scenario should escalate at ``critical``, with the
@@ -42,11 +42,10 @@ import numpy as np
 
 from ..alerts import AlertConfig, EscalationConfig, EventStoreConfig
 from ..core.detector import DetectorConfig
-from ..faults import builtin_scenarios
+from ..faults import builtin_scenarios, synth_stream
 from ..obs import get_logger
 from ..obs.metrics import MetricsRegistry
-from ..serve import ServeBenchConfig, ServeConfig, ServeEngine
-from ..serve.bench import synth_stream
+from ..serve import ServeConfig, ServeEngine
 
 __all__ = ["AlertEvalConfig", "MagnitudeProbeModel", "run_alert_eval"]
 
@@ -59,10 +58,11 @@ class MagnitudeProbeModel:
     Maps the window's peak acceleration-magnitude (channels 0–2 of the
     staged window are accel in g) linearly onto [0, 1] between ``lo_g``
     and ``hi_g``.  The defaults are calibrated against the *staged*
-    (filtered) windows of the serve-bench workload: quiet ADL stages at
-    ~1.06 g peak (scores 0), injected spike faults survive filtering at
-    ~2.1 g (score ≈0.6 — a detection), and fall pulses stage at ~4 g
-    (score 1.0) — the exact regime the alert layer has to tell apart.
+    (filtered) windows of :func:`~repro.faults.synth_stream` streams:
+    quiet ADL stages at ~1.06 g peak (scores 0), injected spike faults
+    survive filtering at ~2.1 g (score ≈0.6 — a detection), and fall
+    pulses stage at ~4 g (score 1.0) — the exact regime the alert layer
+    has to tell apart.
     """
 
     def __init__(self, lo_g: float = 1.3, hi_g: float = 2.6):
@@ -130,20 +130,18 @@ def _inject_fall(accel, t, config: AlertEvalConfig, at_s: float):
 
 
 def _quiet_synth_index(position: int) -> int:
-    """Serve-bench stream index for fleet ``position``, skipping the
-    indices (multiples of 3) whose synthetic trace carries a built-in
-    fall event — the eval injects its own events deliberately."""
+    """:func:`~repro.faults.synth_stream` index for fleet ``position``,
+    skipping the indices (multiples of 3) whose synthetic trace carries a
+    built-in fall event — the eval injects its own events deliberately."""
     return position + position // 2 + 1
 
 
 def _fleet_for(scenario, config: AlertEvalConfig) -> dict:
-    bench_cfg = ServeBenchConfig(
-        n_streams=3 * config.n_streams + 1, duration_s=config.duration_s,
-        seed=config.seed, detector=config.detector,
-    )
     streams = {}
     for idx in range(config.n_streams):
-        accel, gyro, t = synth_stream(_quiet_synth_index(idx), bench_cfg)
+        accel, gyro, t = synth_stream(
+            _quiet_synth_index(idx), duration_s=config.duration_s,
+            seed=config.seed, fs=config.detector.fs)
         if idx <= 1:
             accel = _inject_fall(accel, t, config, config.fall_t_s)
         if idx == 0 and config.second_fall_t_s is not None:

@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 
 from ..alerts import AlertConfig, EscalationConfig
 from ..core.detector import DetectorConfig
-from ..faults import builtin_scenarios
+from ..faults import builtin_scenarios, synth_stream
 from ..obs import BurnRateRule, SLOConfig, get_logger
 from ..obs.metrics import MetricsRegistry
-from ..serve import ServeBenchConfig, ServeConfig, ServeEngine
-from ..serve.bench import synth_stream
+from ..serve import ServeConfig, ServeEngine
 from .alerts_runner import MagnitudeProbeModel
 
 __all__ = ["SLOEvalConfig", "run_slo_eval"]
@@ -115,13 +114,11 @@ class SLOEvalConfig:
 
 
 def _fleet_for(scenario, config: SLOEvalConfig) -> dict:
-    bench_cfg = ServeBenchConfig(
-        n_streams=config.n_streams, duration_s=config.duration_s,
-        seed=config.seed, detector=config.detector,
-    )
     streams = {}
     for idx in range(config.n_streams):
-        accel, gyro, t = synth_stream(idx, bench_cfg)
+        accel, gyro, t = synth_stream(
+            idx, duration_s=config.duration_s, seed=config.seed,
+            fs=config.detector.fs)
         if scenario is not None and 1 <= idx <= config.faulted_streams:
             t, accel, gyro = scenario.apply_arrays(t, accel, gyro)
         streams[f"s{idx:03d}"] = (accel, gyro, t)

@@ -15,8 +15,9 @@ Quick tour::
     t, accel, gyro = scenario.apply(recording)   # faulted stream
     # ... feed (t, accel, gyro) sample-by-sample into FallDetector.push
 
-``repro faults`` (the CLI subcommand) runs the full clean-vs-faulted
-event-level comparison.
+:func:`synth_stream` generates the seeded clean streams the serving
+demos, evaluations and tests corrupt.  ``repro faults`` (the CLI
+subcommand) runs the full clean-vs-faulted event-level comparison.
 """
 
 from .injectors import (
@@ -31,6 +32,7 @@ from .injectors import (
     StuckChannel,
 )
 from .scenario import FaultScenario, FaultWindow, builtin_scenarios
+from .streams import synth_stream
 
 __all__ = [
     "FaultInjector",
@@ -45,4 +47,5 @@ __all__ = [
     "FaultWindow",
     "FaultScenario",
     "builtin_scenarios",
+    "synth_stream",
 ]

@@ -13,30 +13,16 @@ adds the layer above the engine:
 * :mod:`repro.fleet.worker` — the per-shard process: one engine on its
   own registry, driven by a synchronous round protocol that ships
   detections (bit-exact), stream health, metrics and spans back to the
-  front — the same ship-back contract as :mod:`repro.parallel`;
-* :mod:`repro.fleet.sim` — the fleet simulator and scaling benchmark
-  (``repro fleet-bench``): diverse synthetic populations under
-  ``repro.faults`` scenarios plus the process-level
-  :class:`~repro.fleet.sim.WorkerKill` scenario, proving an N-shard
-  fleet is byte-identical to a single engine when fault-free and loses
-  zero streams across a mid-run worker kill.
+  front — the same ship-back contract as :mod:`repro.parallel`.
+
+``tests/test_fleet.py`` proves an N-shard fleet byte-identical to a
+single engine (faulted streams included) and loses zero streams across
+a mid-run worker kill; ``bench/`` measures the fleet hop.
 """
 
 from .front import FleetConfig, FleetFront
-from .sim import (
-    FleetBenchConfig,
-    WorkerKill,
-    build_population,
-    render_fleet_report,
-    run_fleet_benchmark,
-)
 
 __all__ = [
     "FleetConfig",
     "FleetFront",
-    "FleetBenchConfig",
-    "WorkerKill",
-    "build_population",
-    "render_fleet_report",
-    "run_fleet_benchmark",
 ]

@@ -12,7 +12,7 @@ Routing & determinism
     shard order.  Worker engines batch under ``batch_invariant``, so a
     stream's detections are bitwise independent of which siblings share
     its shard — an N-shard fleet reproduces a single engine's output
-    byte for byte (proven by :mod:`repro.fleet.sim`).
+    byte for byte (proven by ``tests/test_fleet.py``).
 
 Backpressure
     Per-shard ingest buffers are bounded by ``queue_capacity``; overload
@@ -54,6 +54,7 @@ from ..obs import (
 )
 from ..obs.trace import SpanRecord
 from ..serve.engine import ServeConfig
+from ..serve.session import sample_row
 from ..utils import Backoff
 from .worker import shard_main
 
@@ -241,18 +242,24 @@ class FleetFront:
         if home is None:
             self.dropped_samples += 1
             return False
+        # Plain-float tuples pickle smaller than ndarray rows and
+        # round-trip float64 exactly — the bit-identity proof depends on
+        # the pipe being lossless.  Unpacking three readings per sensor is
+        # the cheap path; any other shape goes through sample_row, the
+        # engine's definition of a well-formed sample.
         try:
             ax, ay, az = accel_g
             gx, gy, gz = gyro_dps
-            # Plain-float tuples pickle smaller than ndarray rows and
-            # round-trip float64 exactly — the bit-identity proof depends
-            # on the pipe being lossless.
             sample = (stream_id, (float(ax), float(ay), float(az)),
                       (float(gx), float(gy), float(gz)),
                       None if t is None else float(t))
         except (TypeError, ValueError):
-            self.dropped_samples += 1
-            return False
+            row = sample_row(accel_g, gyro_dps, t)
+            if row is None:
+                self.dropped_samples += 1
+                return False
+            sample = (stream_id, row[:3], row[3:6],
+                      None if t is None else row[6])
         t = sample[3]
         shard = self._shards[home]
         shed = False

@@ -10,25 +10,21 @@ into one batched ``Model.predict`` per round — batched under
 :func:`repro.nn.batch_invariant` so every stream's detections are
 byte-identical to a solo run regardless of batch composition.
 
-:func:`run_serve_benchmark` replays synthetic streams through both the
-sequential per-stream baseline and the engine and reports the speedup
-(``repro serve-bench`` on the command line).
+The serve stack's throughput and latency are measured from outside the
+package by the ``bench/`` benchmark; ``benchmarks/test_bench_serve.py``
+gates the batching speedup over sequential per-stream detectors.
 """
 
-from .bench import ServeBenchConfig, render_serve_report, run_serve_benchmark
 from .dashboard import TailConfig, render_dashboard, run_tail, sparkline
 from .engine import ServeConfig, ServeEngine
 from .session import StreamSession
 
 __all__ = [
-    "ServeBenchConfig",
     "ServeConfig",
     "ServeEngine",
     "StreamSession",
     "TailConfig",
     "render_dashboard",
-    "render_serve_report",
-    "run_serve_benchmark",
     "run_tail",
     "sparkline",
 ]

@@ -9,10 +9,11 @@ worst-health-first.  Everything renders to a plain string, so the same
 frame goes to a refreshing terminal, a test assertion, or ``make
 tail-demo`` output unchanged.
 
-:func:`run_tail` drives the synthetic serve-bench workload through an
-engine with flight recording armed and faults injected on a couple of
-streams — a self-contained demo of the whole observability story: the
-dashboard shows the degradation live, the recorders freeze the incidents.
+:func:`run_tail` drives :func:`repro.faults.synth_stream` streams
+through an engine with flight recording armed and faults injected on a
+couple of streams — a self-contained demo of the whole observability
+story: the dashboard shows the degradation live, the recorders freeze
+the incidents.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 from ..alerts import AlertConfig
 from ..core.detector import DetectorConfig
+from ..faults import builtin_scenarios, synth_stream
 from ..obs import FlightConfig, MetricsSampler, render_exposition
 from ..obs.metrics import MetricsRegistry
-from .bench import ServeBenchConfig, synth_stream
 from .engine import ServeConfig, ServeEngine
 
 __all__ = ["TailConfig", "render_dashboard", "run_tail", "sparkline"]
@@ -195,17 +196,13 @@ def render_dashboard(engine: ServeEngine, sampler: MetricsSampler | None = None,
 
 def _tail_streams(config: TailConfig) -> dict:
     """Synthetic fleet for the demo; two streams degraded when enabled."""
-    from ..faults import builtin_scenarios
-
-    bench_cfg = ServeBenchConfig(
-        n_streams=config.n_streams, duration_s=config.duration_s,
-        seed=config.seed, detector=config.detector,
-    )
     streams = {}
     scenarios = (builtin_scenarios(seed=config.seed)
                  if config.inject_faults else {})
     for idx in range(config.n_streams):
-        accel, gyro, t = synth_stream(idx, bench_cfg)
+        accel, gyro, t = synth_stream(
+            idx, duration_s=config.duration_s, seed=config.seed,
+            fs=config.detector.fs)
         if config.inject_faults and config.n_streams > 2:
             if idx == 1:
                 t, accel, gyro = scenarios["nan_burst"].apply_arrays(

@@ -301,12 +301,16 @@ class ServeEngine:
             self.dropped_samples += 1
         # Copy the readings into one flat row of floats, so a caller may
         # reuse its buffers: ``tolist`` on the (3,) ndarrays callers
-        # pass is the cheap path; anything else goes through sample_row,
-        # which also turns a malformed sample into None, refused at
-        # drain.
+        # pass is the cheap path; any other shape or type goes through
+        # sample_row, the one definition of a well-formed sample, which
+        # turns a malformed one into None, refused at drain.  ``tolist``
+        # nests a list per row for an array of two or more dimensions,
+        # and testing the first reading for one is cheaper than ``ndim``.
         try:
             ax, ay, az = accel_g.tolist()
             gx, gy, gz = gyro_dps.tolist()
+            if ax.__class__ is list or gx.__class__ is list:
+                raise ValueError("not a (3,) reading")
             t = math.nan if t is None else float(t)
             row = (ax, ay, az, gx, gy, gz, t)
         except Exception:

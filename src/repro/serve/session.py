@@ -31,7 +31,13 @@ def sample_row(accel_g, gyro_dps, t) -> tuple | None:
     of floats that shares nothing with the caller (``t`` NaN when
     missing), or ``None`` when the sample is malformed — not three
     numbers per sensor, or a non-numeric timestamp — which
-    :meth:`StreamSession.drain_block` refuses."""
+    :meth:`StreamSession.drain_block` refuses.
+
+    The one definition of a well-formed sample: any array-like holding
+    three numbers per sensor, in any shape, is one.  Both front doors,
+    :meth:`ServeEngine.submit <repro.serve.ServeEngine.submit>` and
+    :meth:`FleetFront.submit <repro.fleet.FleetFront.submit>`, fall back
+    to it whenever their fast path does not apply."""
     try:
         ax, ay, az = np.asarray(accel_g, dtype=float).reshape(3).tolist()
         gx, gy, gz = np.asarray(gyro_dps, dtype=float).reshape(3).tolist()

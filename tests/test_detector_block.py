@@ -24,10 +24,9 @@ import pytest
 from detector_oracle import ScalarDetector, feed
 
 from repro.core.detector import DetectorConfig, FallDetector
-from repro.faults import builtin_scenarios
+from repro.faults import builtin_scenarios, synth_stream
 from repro.obs import FlightConfig, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.bench import ServeBenchConfig, synth_stream
 
 CFG = DetectorConfig(window_ms=200.0, overlap=0.5, threshold=0.4,
                      consecutive_required=1)
@@ -42,9 +41,7 @@ class _TanhModel:
 
 
 def _base_stream(index=0, duration_s=4.0):
-    bench = ServeBenchConfig(n_streams=1, duration_s=duration_s,
-                             detector=CFG)
-    return synth_stream(index, bench)
+    return synth_stream(index, duration_s=duration_s)
 
 
 def _scenario_stream(name, duration_s=4.0):

@@ -25,11 +25,10 @@ from hypothesis import strategies as st
 
 import repro.core.detector as detector_module
 from repro.core.detector import DetectorConfig, FallDetector, ingest_lanes
-from repro.faults import builtin_scenarios
+from repro.faults import builtin_scenarios, synth_stream
 from repro.obs import FlightConfig, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
-from repro.serve.bench import ServeBenchConfig, synth_stream
 from repro.signal.filters import OnlineSosFilter
 from repro.signal.orientation import ComplementaryFilter
 
@@ -56,9 +55,7 @@ def _stream(index, scenario):
     ``scenario`` unless it is ``None``; ``(accel, gyro, t)``."""
     key = (index, scenario)
     if key not in _STREAMS:
-        bench = ServeBenchConfig(n_streams=1, duration_s=_STREAM_S,
-                                 detector=_cfg())
-        accel, gyro, t = synth_stream(index, bench)
+        accel, gyro, t = synth_stream(index, duration_s=_STREAM_S)
         if scenario is not None:
             t, accel, gyro = builtin_scenarios(seed=7)[scenario].apply_arrays(
                 t, accel, gyro)

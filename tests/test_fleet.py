@@ -1,24 +1,33 @@
 """Sharded fleet front: routing, backpressure, supervision, failover."""
 
 import logging
+import pathlib
+import sys
 import time
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.alerts import AlertConfig, EscalationConfig
 from repro.core.detector import DetectorConfig
 from repro.experiments import MagnitudeProbeModel
+from repro.faults import builtin_scenarios
 from repro.fleet import FleetConfig, FleetFront
 from repro.obs import (
     clear_trace,
     disable_tracing,
     enable_tracing,
     get_collector,
+    render_exposition,
     span,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.engine import ServeConfig, ServeEngine
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "scripts"))
+from check_metric_names import check_exposition  # noqa: E402
 
 DET = DetectorConfig()
 HOP = DET.hop_samples
@@ -42,11 +51,12 @@ def _streams(n_streams=4, n_samples=400, pulse_t=2.5, seed=0):
 
 
 def _feed(front_or_engine, streams, pump, *, kill_at=None, on_kill=None):
-    n = len(next(iter(streams.values()))[2])
+    n = max(len(t) for _, _, t in streams.values())
     out = {sid: [] for sid in streams}
     for i in range(n):
         for sid, (accel, gyro, t) in streams.items():
-            front_or_engine.submit(sid, accel[i], gyro[i], t[i])
+            if i < len(t):
+                front_or_engine.submit(sid, accel[i], gyro[i], t[i])
         if kill_at is not None and (i + 1) / DET.fs >= kill_at:
             on_kill()
             kill_at = None
@@ -175,6 +185,13 @@ class TestBackpressure:
 class TestBitIdentity:
     def test_fleet_matches_single_engine(self):
         streams = _streams(n_streams=5, n_samples=400)
+        # Two streams carry sensor faults: NaN readings and dropped
+        # samples must cross the pipe and the shard boundary unchanged.
+        scenarios = builtin_scenarios(seed=0)
+        for sid, name in (("s001", "nan_burst"), ("s003", "dropout")):
+            accel, gyro, t = streams[sid]
+            t, accel, gyro = scenarios[name].apply_arrays(t, accel, gyro)
+            streams[sid] = (accel, gyro, t)
         single_engine = ServeEngine(MagnitudeProbeModel(), _serve_config(),
                                     registry=MetricsRegistry())
         single = _feed(single_engine, streams,
@@ -197,6 +214,75 @@ class TestBitIdentity:
         assert fleet == single  # frozen float dataclasses: bitwise equality
 
 
+#: Forms a caller may pass one sensor reading in.  Each holds three
+#: numbers, so both front doors must serve it like a (3,) float array.
+WELL_FORMED = {
+    "float(3,)": lambda r: r,
+    "float(1,3)": lambda r: r.reshape(1, 3),
+    "float(3,1)": lambda r: r.reshape(3, 1),
+    "int(3,)": lambda r: np.rint(r).astype(int),
+    "list": lambda r: r.tolist(),
+    "tuple": lambda r: tuple(r.tolist()),
+}
+#: Readings that are not three numbers: served by neither front door.
+MALFORMED = {
+    "float(2,)": lambda r: r[:2],
+    "float(2,2)": lambda r: np.resize(r, (2, 2)),
+    "non-numeric": lambda r: [r[0], "x", r[2]],
+}
+
+
+@pytest.fixture(scope="module")
+def served_forms():
+    """One stream per reading form through one engine and one 1-shard
+    fleet (a stream's detections do not depend on its neighbours):
+    ``(engine detections, fleet detections, engine health, refused)``,
+    each keyed by form."""
+    accel, gyro, t = _streams(n_streams=1)["s000"]
+    forms = {**WELL_FORMED, **MALFORMED}
+    engine = ServeEngine(MagnitudeProbeModel(), _serve_config(),
+                         registry=MetricsRegistry())
+    front = FleetFront(MagnitudeProbeModel(),
+                       FleetConfig(n_shards=1, serve=_serve_config()),
+                       registry=MetricsRegistry())
+    refused = dict.fromkeys(forms, 0)
+    try:
+        for i in range(len(t)):
+            for name, form in forms.items():
+                engine.submit(name, form(accel[i]), form(gyro[i]), t[i])
+                if not front.submit(name, form(accel[i]), form(gyro[i]),
+                                    t[i]):
+                    refused[name] += 1
+        single = {name: [] for name in forms}
+        for sid, det in engine.step():
+            single[sid].append(det)
+        fleet = {name: [] for name in forms}
+        for sid, det in front.drain():
+            fleet[sid].append(det)
+    finally:
+        front.close()
+    health = {name: engine.stream_health(name) for name in forms}
+    return single, fleet, health, refused
+
+
+class TestSampleForms:
+    @pytest.mark.parametrize("form", list(WELL_FORMED))
+    def test_well_formed_sample_is_served_alike(self, served_forms, form):
+        single, fleet, health, refused = served_forms
+        assert health[form] != "quarantined"
+        assert refused[form] == 0
+        assert single[form] and fleet[form] == single[form]
+        if form != "int(3,)":
+            assert single[form] == single["float(3,)"]
+
+    @pytest.mark.parametrize("form", list(MALFORMED))
+    def test_malformed_sample_is_served_by_neither(self, served_forms, form):
+        single, fleet, health, refused = served_forms
+        assert health[form] == "quarantined"       # at drain
+        assert refused[form] == 400                # at submit
+        assert single[form] == fleet[form] == []
+
+
 class TestFailover:
     def test_worker_kill_loses_no_streams_and_resumes(self):
         streams = _streams(n_streams=6, n_samples=500, pulse_t=3.5)
@@ -210,7 +296,12 @@ class TestFailover:
             # goes through the dead-process short-circuit, not the
             # timeout, so the large value costs nothing here.
             FleetConfig(n_shards=2, serve=_serve_config(),
-                        worker_timeout_s=120.0, restart_initial_s=0.02),
+                        worker_timeout_s=120.0, restart_initial_s=0.02,
+                        alerts=AlertConfig(
+                            escalation=EscalationConfig(
+                                confirm_window_s=1.5, confirm_detections=1,
+                                auto_resolve_s=3.0),
+                            dedup_horizon_s=4.0, per_stream_metrics=False)),
             registry=registry,
         )
         try:
@@ -223,14 +314,31 @@ class TestFailover:
             front.close()
         assert report["worker_crashes"] == 1
         assert report["worker_restarts"] >= 1
-        assert report["rehomed_streams"] >= 1
+        # Every stream homed on the killed shard was re-homed.
+        killed = [sid for sid in streams if zlib.crc32(sid.encode()) % 2 == 1]
+        assert killed and report["rehomed_streams"] >= len(killed)
         assert report["worker_failures"] == 0
         # Zero streams lost: every session reports after the kill.
         assert set(front.stream_report()) == set(streams)
         # Detections resumed: every stream caught the post-kill pulse.
         for sid, dets in out.items():
             assert any(d.time_s >= 3.0 for d in dets), sid
+        # Alerts still page after the failover.
+        assert report["alerts"]["raised"] > 0
+        # The restart outage backlogs without shedding, and redelivery
+        # covers the lost round.
+        assert report["shed_samples"] == 0
+        assert report["redelivered_samples"] > 0
+        assert report["max_queue_depth"] <= front.config.queue_capacity
         assert registry.counter("fleet/worker_restarts").value >= 1
+        # Recovery shows in the merged exposition, which passes the lint.
+        exposition = render_exposition(registry)
+        assert (f"repro_fleet_worker_restarts {report['worker_restarts']}"
+                in exposition)
+        assert "repro_fleet_worker_crashes 1" in exposition
+        assert "repro_fleet_window_latency_ms_bucket" in exposition
+        assert "repro_fleet_round_ms_bucket" in exposition
+        assert check_exposition(exposition) == []
 
     def test_rehomed_detector_reports_interruption_then_recovers(self):
         # The unit-level core of degraded-then-healthy: a rebuilt session

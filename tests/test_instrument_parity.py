@@ -16,11 +16,10 @@ import pytest
 from repro.alerts import AlertConfig
 from repro.core.detector import DetectorConfig, FallDetector
 from repro.experiments import MagnitudeProbeModel
-from repro.faults import builtin_scenarios
+from repro.faults import builtin_scenarios, synth_stream
 from repro.obs import FlightConfig, FlightRecorder, SLOConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
-from repro.serve.bench import ServeBenchConfig, synth_stream
 from repro.signal.orientation import ComplementaryFilter
 
 CFG = DetectorConfig(window_ms=200.0, overlap=0.5, threshold=0.4,
@@ -41,11 +40,10 @@ class _RecordingModel(MagnitudeProbeModel):
 
 def _fault_streams():
     """One stream per builtin fault scenario, falls on every third."""
-    bench = ServeBenchConfig(n_streams=8, duration_s=4.0, detector=CFG)
     streams = {}
     for i, (name, scenario) in enumerate(
             sorted(builtin_scenarios(seed=7).items())):
-        accel, gyro, t = synth_stream(i, bench)
+        accel, gyro, t = synth_stream(i, duration_s=4.0)
         t, accel, gyro = scenario.apply_arrays(t, accel, gyro)
         streams[name] = (accel, gyro, t)
     return streams

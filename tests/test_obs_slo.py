@@ -26,6 +26,7 @@ from repro.core.detector import (
 )
 from repro.experiments import SLOEvalConfig, run_slo_eval
 from repro.experiments.alerts_runner import MagnitudeProbeModel
+from repro.faults import synth_stream
 from repro.obs import (
     STAGES,
     BurnRateRule,
@@ -38,16 +39,13 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
-from repro.serve.bench import ServeBenchConfig, synth_stream
 
 CFG = DetectorConfig(window_ms=200.0, overlap=0.5, threshold=0.4,
                      consecutive_required=1)
 
 
 def _stream(duration_s=3.0, index=0):
-    bench = ServeBenchConfig(n_streams=1, duration_s=duration_s,
-                             detector=CFG)
-    return synth_stream(index, bench)
+    return synth_stream(index, duration_s=duration_s)
 
 
 def _tight_slo() -> SLOConfig:

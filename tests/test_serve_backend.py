@@ -7,10 +7,10 @@ import pytest
 
 from repro.core.architecture import build_lightweight_cnn
 from repro.core.detector import DetectorConfig, FallDetector
+from repro.faults import synth_stream
 from repro.obs.metrics import MetricsRegistry
-from repro.quant import QuantizedModel
+from repro.quant import QuantizedModel, structured_prune
 from repro.serve import ServeConfig, ServeEngine
-from repro.serve.bench import ServeBenchConfig, synth_stream
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +25,9 @@ def calibration():
 
 
 def _drive(engine, n_streams=4, duration_s=2.0):
-    bench = ServeBenchConfig(n_streams=n_streams, duration_s=duration_s)
     detections = []
-    streams = {f"s{i:03d}": synth_stream(i, bench) for i in range(n_streams)}
+    streams = {f"s{i:03d}": synth_stream(i, duration_s=duration_s)
+               for i in range(n_streams)}
     for stream_id, (accel, gyro, t) in streams.items():
         for i in range(len(t)):
             engine.submit(stream_id, accel[i], gyro[i], t[i])
@@ -74,17 +74,25 @@ class TestInt8Serving:
         assert engine.model is quantized
 
     def test_same_windows_as_float32(self, model, calibration):
-        """Scheduling is backend-independent: both arms stage and infer
-        exactly the same windows over the same telemetry."""
-        float_engine = ServeEngine(model, ServeConfig(backend="float32"),
-                                   registry=MetricsRegistry())
-        int8_engine = ServeEngine(model, ServeConfig(backend="int8"),
-                                  registry=MetricsRegistry(),
-                                  calibration=calibration)
-        _drive(float_engine)
-        _drive(int8_engine)
-        assert (float_engine.report()["windows_inferred"]
-                == int8_engine.report()["windows_inferred"])
+        """Scheduling is backend-independent: every arm — float32, int8
+        and a structurally pruned int8 graph, which also has to pass the
+        engine's batch-invariance probe — stages and infers exactly the
+        same windows over the same telemetry."""
+        pruned, _ = structured_prune(model, 0.5)
+        engines = [
+            ServeEngine(model, ServeConfig(backend="float32"),
+                        registry=MetricsRegistry()),
+            ServeEngine(model, ServeConfig(backend="int8"),
+                        registry=MetricsRegistry(),
+                        calibration=calibration),
+            ServeEngine(QuantizedModel.convert(pruned, calibration),
+                        ServeConfig(backend="int8"),
+                        registry=MetricsRegistry()),
+        ]
+        for engine in engines:
+            _drive(engine)
+        windows = {e.report()["windows_inferred"] for e in engines}
+        assert len(windows) == 1 and windows.pop() > 0
 
     def test_probe_rejects_batch_varying_model(self, model, calibration):
         """The init-time probe catches a backend whose batched forwards

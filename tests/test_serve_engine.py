@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from repro.core.detector import DetectorConfig
+from repro.faults import synth_stream
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
-from repro.serve.bench import ServeBenchConfig, synth_stream
 
 CFG = DetectorConfig(window_ms=200.0, overlap=0.5, threshold=0.4,
                      consecutive_required=1)
@@ -80,10 +80,8 @@ def _feed(engine, streams, step_every=10):
     return detections
 
 
-def _bench_streams(indices, n_streams=8, duration_s=2.0):
-    bench = ServeBenchConfig(n_streams=n_streams, duration_s=duration_s,
-                             detector=CFG)
-    return {f"s{i}": synth_stream(i, bench) for i in indices}
+def _bench_streams(indices, duration_s=2.0):
+    return {f"s{i}": synth_stream(i, duration_s=duration_s) for i in indices}
 
 
 def _faulted_stream(index):
