@@ -10,8 +10,10 @@ export PYTHONPATH := src
 
 # tests/test_detector_block.py (the bit-identity gate of push_block,
 # the detector's one ingest path, against the per-sample oracle in
-# tests/detector_oracle.py) rides along here, so `make check` always
-# re-proves the identity.
+# tests/detector_oracle.py) and tests/test_detector_lanes.py (stacked
+# ingest_lanes rounds against per-lane push_block and the same oracle,
+# plus the kernel- and validation-call counts) ride along here, so
+# `make check` always re-proves both identities.
 test:
 	$(PYTHON) -m pytest -x -q
 

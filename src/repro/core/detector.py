@@ -10,9 +10,16 @@ Unlike the offline pipeline, the live path cannot assume a perfect
 stream.  The one ingest path — :func:`ingest_lanes`, which takes many
 streams' blocks at once; :meth:`FallDetector.push_block` is its
 one-lane call, and ``push``/``push_collect`` run it with a single row —
-therefore validates and repairs every sample (NaN/Inf → hold-last, rail clamping), bridges
-short timestamp gaps by interpolation, resets and re-primes its streaming
-state after long ones, and tracks a three-state health machine:
+therefore validates and repairs every sample (NaN/Inf → hold-last, rail
+clamping, exact-repeat streaks for stuck channels and dead sensors),
+bridges short timestamp gaps by interpolation, resets and re-primes its
+streaming state after long ones, and tracks a three-state health
+machine.  The state its stacked kernels consume — filter sections,
+fusion angles, the fallback smoother, the repeat streaks and the last
+readings — lives in a :class:`LaneBank` as ``(streams, ...)`` arrays;
+each detector is one row, and the serving engine keeps all its streams
+in one bank, so a round's phases index the bank instead of gathering
+per-detector state.  Health states:
 
 ``healthy``
     Clean stream, CNN path nominal.
@@ -45,8 +52,9 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from bisect import bisect_left
-from collections import deque
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -63,6 +71,7 @@ __all__ = [
     "WindowRequest",
     "FallDetector",
     "MagnitudeFallback",
+    "LaneBank",
     "ingest_lanes",
     "AirbagController",
     "HEALTHY",
@@ -88,40 +97,33 @@ _HEALTH_LEVEL = {HEALTHY: 0, DEGRADED: 1, FAULT: 2}
 #: 1 g gravity on z for the accelerometer, zero rates for the gyro.
 _REPAIR_DEFAULTS = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 _REPAIR_DEFAULTS.setflags(write=False)
-#: Stand-in predecessor of the first sample ever: NaN equals nothing.
-_NAN_ROW = np.full((1, 6), np.nan)
-_NAN_ROW.setflags(write=False)
-#: Every streak broken (a clean block's end state).
-_NO_STREAKS = np.zeros(8, dtype=int)
-_NO_STREAKS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
-def _lowpass_design(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
-    """One SOS array per design, shared by every detector built with
-    it, so :func:`ingest_lanes` sees lanes' filters agree by identity."""
-    return butter_lowpass_sos(order, cutoff_hz, fs)
-
-
-@lru_cache(maxsize=64)
-def _stack_key(config: "DetectorConfig") -> object:
-    """A token shared by the detectors built with equal configs: lanes
-    stack only with lanes whose every config-derived constant agrees."""
-    return object()
+def _design(config: "DetectorConfig") -> "_Design":
+    """One :class:`_Design` per distinct config, shared by every detector
+    built with it: lanes stack only with lanes whose design is the same
+    object."""
+    return _Design(config)
 
 
 def _running_streak(cond: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Per-column lengths of consecutive True runs, seeded by ``start``.
+    """Per-column lengths of consecutive True runs down the rows of
+    ``cond`` ``(..., n, columns)``, seeded by ``start`` ``(...,
+    columns)`` — one block ``(n, columns)``, or many lanes' blocks
+    ``(lanes, n, columns)`` with one carried start per lane.
 
-    Row ``i`` holds what ``s = np.where(cond[i], s + 1, 0)`` applied row
-    by row would: within the block a streak is (1-based row) minus the
-    last False row, and runs unbroken since row 0 continue the carried
-    ``start``.  Exact integer arithmetic — bit-identity is trivial.
+    Row ``i`` holds what ``s = np.where(cond[..., i, :], s + 1, 0)``
+    applied row by row would: within the block a streak is (1-based row)
+    minus the last False row, and runs unbroken since row 0 continue the
+    carried ``start``.  Exact integer arithmetic — bit-identity is
+    trivial.
     """
-    if cond.shape[0] == 1:
+    start = start[..., None, :]
+    if cond.shape[-2] == 1:
         return np.where(cond, start + 1, 0)
-    idx = np.arange(1, cond.shape[0] + 1)[:, None]
-    last_false = np.maximum.accumulate(np.where(cond, 0, idx), axis=0)
+    idx = np.arange(1, cond.shape[-2] + 1)[:, None]
+    last_false = np.maximum.accumulate(np.where(cond, 0, idx), axis=-2)
     streak = idx - last_false
     return np.where(last_false == 0, streak + start, streak)
 
@@ -284,98 +286,98 @@ class MagnitudeFallback:
         self.reset()
 
     def reset(self) -> None:
-        # Trailing magnitudes for the smoother; deque pops are O(1).
-        self._window = deque(maxlen=self._k)
-        self._watch_left = 0
-        self._mag_min = np.inf
-        self._mag_max = -np.inf
+        self._state = self.initial_state()
+
+    def initial_state(self) -> list:
+        """A fresh stream's state row (see :meth:`push_lanes`)."""
+        return [0.0] * self._k + [0.0, np.inf, -np.inf]
 
     def push(self, accel_g) -> bool:
         """Feed one repaired accel sample; True when the dip+range fires."""
-        # math.sqrt over an explicit sum matches np.linalg.norm bitwise on
-        # a 3-vector (same left-to-right accumulation) at a fraction of
-        # the per-call dispatch cost — this runs once per sample.
-        x, y, z = accel_g
-        mag = math.sqrt(x * x + y * y + z * z)
-        window = self._window
-        window.append(mag)
-        # Explicit left-to-right accumulation, oldest first: push_lanes
-        # sums the same way (builtin sum compensates from Python 3.12).
-        total = 0.0
-        for value in window:
-            total += value
-        smooth = total / len(window)
-        if smooth < self.low_g:
-            if self._watch_left <= 0:      # new episode: reset the extremes
-                self._mag_min = mag
-                self._mag_max = mag
-            self._watch_left = self._horizon
-        if self._watch_left > 0:
-            self._watch_left -= 1
-            self._mag_min = min(self._mag_min, mag)
-            self._mag_max = max(self._mag_max, mag)
-            if self._mag_max - self._mag_min >= self.range_g:
-                self._watch_left = 0       # re-arm via the next dip
-                return True
-        return False
+        return self._steps(self._state, [accel_g])[0]
 
-    @staticmethod
-    def push_lanes(fallbacks, accel_g) -> list[list[bool]]:
-        """:meth:`push` over many streams' blocks at once.
+    def push_lanes(self, state: np.ndarray, accel_g) -> list[list[bool]]:
+        """:meth:`push` over many streams' blocks at once, their state
+        held by the caller.
 
-        ``fallbacks`` share one tuning; ``accel_g`` stacks one repaired
-        block per fallback as ``(lanes, n, 3)``.  Magnitudes and trailing
-        means are computed for every row of every lane as array ops — the
-        carried window left-pads each lane's history, absent entries are
-        0.0 (exact to add to a magnitude) and the means divide by the
-        true fill — summing oldest first like :meth:`push`.  The dip
-        watch, sequential but idle off a dip, then runs per lane only
-        where a lane dips or is already watching.  Returns each lane's
-        per-row hits; the state left behind equals ``n`` :meth:`push`
-        calls per lane.
+        ``state`` holds one row per stream, advanced in place: the last
+        ``k - 1`` magnitudes (oldest first, zero-padded on the left), the
+        smoother's fill, then the dip watch's countdown, minimum and
+        maximum.  ``accel_g`` stacks one repaired block per stream as
+        ``(lanes, n, 3)``.  Magnitudes and trailing means are array ops
+        over every row of every lane — the padding 0.0 is exact to add to
+        a magnitude and the means divide by the true fill — summing
+        oldest first like :meth:`push`; the dip watch, sequential but
+        idle off a dip, then runs per lane only where a lane dips or is
+        already watching.  Returns each lane's per-row hits.
         """
-        first = fallbacks[0]
-        k = first._k
-        for fb in fallbacks:
-            if (fb._k, fb._horizon, fb.low_g, fb.range_g) != (
-                    k, first._horizon, first.low_g, first.range_g):
-                raise ValueError("push_lanes needs fallbacks sharing a tuning")
+        k = self._k
         lanes, n = accel_g.shape[:2]
         x, y, z = accel_g[:, :, 0], accel_g[:, :, 1], accel_g[:, :, 2]
         mag = np.sqrt(x * x + y * y + z * z)
-        history = np.zeros((lanes, k - 1 + n))
-        history[:, k - 1:] = mag
-        carried = np.empty((lanes, 1))
-        for lane, fb in enumerate(fallbacks):
-            window = fb._window
-            carried[lane] = len(window)
-            if k > 1 and window:
-                tail = list(window)[1 - k:]
-                history[lane, k - 1 - len(tail):k - 1] = tail
+        history = np.concatenate([state[:, :k - 1], mag], axis=1)
         total = history[:, :n].copy()
         for j in range(1, k):
             total += history[:, j:j + n]
-        smooth = total / np.minimum(k, carried + np.arange(1, n + 1))
-        dips = smooth < first.low_g
-        dipping = dips.any(axis=1).tolist()
+        fill = state[:, k - 1:k]
+        smooth = total / np.minimum(k, fill + np.arange(1, n + 1))
+        dips = smooth < self.low_g
+        watching = (dips.any(axis=1) | (state[:, k] > 0)).tolist()
         mags = mag.tolist()
         hits = []
-        for lane, fb in enumerate(fallbacks):
-            if dipping[lane] or fb._watch_left > 0:
-                hits.append(fb._watch(mags[lane], dips[lane].tolist()))
+        for lane in range(lanes):
+            if watching[lane]:
+                watch = state[lane, k:].tolist()
+                hits.append(self._watch(watch, mags[lane],
+                                        dips[lane].tolist()))
+                state[lane, k:] = watch
             else:
                 hits.append([False] * n)
-            fb._window.extend(mags[lane])
+        state[:, :k - 1] = history[:, n:]
+        np.minimum(fill + n, k, out=fill)
         return hits
 
-    def _watch(self, mags, dips) -> list[bool]:
-        """:meth:`push`'s dip watch over precomputed magnitudes and dip
-        flags, one hit per row (the smoother's window is the caller's to
-        advance).  ``push`` keeps its own inline copy: it runs once per
-        sample, where a call into this loop would cost it ~1 us."""
+    def _steps(self, state: list, rows) -> list[bool]:
+        """:meth:`push` for each ``(x, y, z)`` of ``rows`` on one stream's
+        state row held as a list (:meth:`push_lanes`' layout), advanced
+        in place: a trailing-mean smoother summed oldest first, then the
+        dip watch.  Scalar steps on a list, so a lane alone pays no array
+        conversion per row."""
+        k = self._k
+        history = state[:k - 1]
+        fill = state[k - 1]
+        low_g = self.low_g
+        mags, dips = [], []
+        for x, y, z in rows:
+            # math.sqrt over an explicit sum matches np.linalg.norm
+            # bitwise on a 3-vector (same left-to-right accumulation) at
+            # a fraction of the per-call cost.
+            mag = math.sqrt(x * x + y * y + z * z)
+            history.append(mag)
+            total = 0.0
+            for value in history[-k:]:
+                total += value
+            if fill < k:
+                fill += 1.0
+            mags.append(mag)
+            dips.append(total / fill < low_g)
+        del history[:len(mags)]
+        history.append(fill)
+        state[:k] = history
+        if state[k] > 0 or True in dips:
+            watch = state[k:]
+            hits = self._watch(watch, mags, dips)
+            state[k:] = watch
+        else:
+            hits = [False] * len(mags)
+        return hits
+
+    def _watch(self, watch: list, mags, dips) -> list[bool]:
+        """The dip watch over precomputed magnitudes and dip flags, one
+        hit per row; ``watch`` is ``[countdown, minimum, maximum]``,
+        advanced in place."""
         hits = []
-        watch_left = self._watch_left
-        lo, hi = self._mag_min, self._mag_max
+        watch_left, lo, hi = watch
         horizon = self._horizon
         range_g = self.range_g
         for mag, dip in zip(mags, dips):
@@ -392,21 +394,138 @@ class MagnitudeFallback:
                     watch_left = 0         # re-arm via the next dip
                     hit = True
             hits.append(hit)
-        self._watch_left = watch_left
-        self._mag_min, self._mag_max = lo, hi
+        watch[:] = (watch_left, lo, hi)
         return hits
 
 
-class _Lane:
-    """One stream's block inside :func:`ingest_lanes`: its detector, its
-    input and the intermediates each phase hands the next."""
+#: One detector's row of a :class:`LaneBank`, or a group's gathered rows:
+#: the state the stacked kernels consume, each ``(lanes, ...)``.
+_BankRows = namedtuple(
+    "_BankRows", "sos angles fb_state streaks raw")
 
-    __slots__ = (
-        "det", "index", "error", "accel", "gyro", "t_list", "n",
-        "repaired", "data_anom", "dead", "plan", "ts_anom", "real_t",
-        "m", "ex6", "owner", "is_real", "fill_time", "reset_rows",
-        "segments", "euler", "scaled", "windows", "ready", "fb_hits",
-    )
+
+class _Design:
+    """What a detector derives from its config once: the stream kernels
+    (one SOS design, fusion and fallback tunings) and the constants the
+    ingest phases read."""
+
+    def __init__(self, cfg: DetectorConfig):
+        self.config = cfg
+        self.filter = OnlineSosFilter(
+            butter_lowpass_sos(cfg.filter_order, cfg.filter_cutoff_hz,
+                               cfg.fs), channels=9)
+        self.fusion = ComplementaryFilter(fs=cfg.fs)
+        self.fallback = MagnitudeFallback(fs=cfg.fs) if cfg.fallback else None
+        self.window_n = cfg.window_samples
+        self.hop_n = cfg.hop_samples
+        self.dt_nom = 1.0 / cfg.fs
+        self.max_gap_ms = cfg.max_gap_ms
+        self.scales = np.asarray(cfg.channel_scales, dtype=float)
+        self.rails = np.array([cfg.accel_range_g] * 3
+                              + [cfg.gyro_range_dps] * 3)
+        self.limits = np.array([cfg.stuck_channel_samples] * 6
+                               + [cfg.dead_sensor_samples] * 2)
+        fb = self.fallback.initial_state() if self.fallback else []
+        #: Per bank field: row shape, dtype and a fresh row.
+        self.layout = _BankRows(
+            sos=((9,) + self.filter._zi_template.shape, float, np.nan),
+            angles=((3,), float, np.nan),
+            fb_state=((len(fb),), float, fb),
+            streaks=((8,), np.intp, [-1] * 6 + [0, 0]),
+            raw=((2, 6), float, [[np.nan] * 6, _REPAIR_DEFAULTS]),
+        )
+
+
+class LaneBank:
+    """The state the stacked ingest kernels consume, for detectors
+    sharing one config, held as ``(streams, ...)`` arrays — the kernels'
+    own layout.
+
+    Row ``r`` of each array is one detector's state:
+
+    * ``sos`` — its Butterworth sections as the compiled kernel filters
+      them in place, and ``angles`` its complementary filter (both NaN:
+      unprimed; these two are what a long-gap reset clears);
+    * ``fb_state`` — the magnitude fallback's smoother and dip watch
+      (:meth:`MagnitudeFallback.push_lanes`);
+    * ``streaks`` — the six stuck-channel and two dead-sensor run lengths
+      (a channel's is -1 before the stream's first sample, which has
+      nothing to repeat), and ``raw`` the last exact reading (NaN
+      before any) over the last repaired one: hold-last repair's carry
+      and gap interpolation's start.
+
+    Each detector holds views of its row (``_views``, each ``(1, ...)``
+    — a group of one), which the bank re-points whenever it reallocates.
+    A standalone detector is a bank of one; the serving engine
+    :meth:`attach`\\ es every stream's detector to one bank, so a round's
+    stacked phases gather and scatter each field of all their lanes with
+    one index operation.  The window ring and the stream clock, which
+    only per-lane loops touch, stay on the detector.  So does, between
+    the passes of a lane alone, its fallback state as a list (the scalar
+    steps' own layout, which spares a one-row push an array round trip);
+    it goes back into the row before anything reads the row.
+    """
+
+    def __init__(self, config: DetectorConfig):
+        self.design = _design(config)
+        self._members = weakref.WeakSet()
+        self.size = 0
+        self.capacity = 0
+        self._grow(1)
+
+    def _grow(self, capacity: int) -> None:
+        for name, (shape, dtype, _) in zip(_BankRows._fields,
+                                           self.design.layout):
+            arr = np.empty((capacity,) + shape, dtype=dtype)
+            if self.size:
+                arr[:self.size] = getattr(self, name)[:self.size]
+            setattr(self, name, arr)
+        self.capacity = capacity
+        for det in self._members:
+            det._views = self.gather(slice(det._row, det._row + 1))
+
+    def add(self, detector: "FallDetector") -> None:
+        """Give ``detector`` a fresh row (the bank doubles when full)."""
+        if self.size == self.capacity:
+            self._grow(2 * self.capacity)
+        row = self.size
+        self.size += 1
+        detector._bank, detector._row = self, row
+        detector._views = self.gather(slice(row, row + 1))
+        self._members.add(detector)
+        self.reset(row)
+
+    def reset(self, row: int, *, stream_only: bool = False) -> None:
+        """Make ``row`` fresh: the filter and fusion state, and with
+        ``stream_only`` false every field."""
+        for name, (_, _, fresh) in zip(_BankRows._fields,
+                                       self.design.layout):
+            if not stream_only or name in ("sos", "angles"):
+                getattr(self, name)[row] = fresh
+
+    def attach(self, detector: "FallDetector") -> None:
+        """Move ``detector``'s state into a new row of this bank."""
+        old = detector._bank
+        if old is self:
+            return
+        if old.design.config != self.design.config:
+            raise ValueError("a bank holds detectors of one config")
+        detector._flush_fallback()
+        values = detector._views
+        self.add(detector)
+        self.scatter(detector._row, values)
+        old._members.discard(detector)
+
+    def gather(self, rows) -> _BankRows:
+        """Every field at ``rows``: views for a slice, copies for an index
+        array."""
+        return _BankRows(self.sos[rows], self.angles[rows],
+                         self.fb_state[rows], self.streaks[rows],
+                         self.raw[rows])
+
+    def scatter(self, rows, state: _BankRows) -> None:
+        for name, value in zip(_BankRows._fields, state):
+            getattr(self, name)[rows] = value
 
 
 class FallDetector:
@@ -421,6 +540,9 @@ class FallDetector:
     ``push`` never raises on bad *data* (non-finite readings, saturated
     rails, missing samples, a dead sensor) and never emits a non-finite
     probability; see the module docstring for the health state machine.
+    The state the stacked ingest kernels consume is this detector's row
+    of a :class:`LaneBank` — its own bank of one until
+    :meth:`LaneBank.attach` moves it into a shared one.
 
     ``registry`` / ``metric_prefix`` namespace the exported metrics per
     instance.  The defaults (the process-wide registry, prefix
@@ -447,23 +569,11 @@ class FallDetector:
         #: detector feeds it every sample/window/decision/health event.
         self.recorder = recorder
         cfg = self.config
-        sos = _lowpass_design(cfg.filter_order, cfg.filter_cutoff_hz, cfg.fs)
-        self._filter = OnlineSosFilter(sos, channels=9)
-        self._stack_key = _stack_key(cfg)
-        self._fusion = ComplementaryFilter(fs=cfg.fs)
-        # Hot-path constants: push_block() runs per call (often one
-        # sample), so resolve the config-derived values once.
+        # The streaming state: this detector's row of a bank of one until
+        # a LaneBank.attach moves it into a shared one.
+        LaneBank(cfg).add(self)
         self._window_n = cfg.window_samples
-        self._hop_n = cfg.hop_samples
         self._deadline = cfg.effective_deadline_ms
-        self._dt_nom = 1.0 / cfg.fs
-        self._buffer = np.zeros((self._window_n, 9))
-        self._scales = np.asarray(cfg.channel_scales, dtype=float)
-        self._rails = np.array([cfg.accel_range_g] * 3
-                               + [cfg.gyro_range_dps] * 3)
-        self._streak_limits = np.array([cfg.stuck_channel_samples] * 6
-                                       + [cfg.dead_sensor_samples] * 2)
-        self._fallback = MagnitudeFallback(fs=cfg.fs) if cfg.fallback else None
         # Deadline monitor: one latency sample per window inference.  A
         # perf_counter pair per hop (every ~200 ms of stream) is noise next
         # to the CNN forward pass, so this is always on.
@@ -501,13 +611,17 @@ class FallDetector:
     # state management
     # ------------------------------------------------------------------
     def _init_stream_state(self) -> None:
-        self._filter.reset()
-        self._fusion.reset()
-        self._buffer[:] = 0.0
+        self._bank.reset(self._row, stream_only=True)
+        self._buffer = np.zeros((self._window_n, 9))
         self._filled = 0
         self._since_last_inference = 0
 
     def _init_health_state(self) -> None:
+        self._bank.reset(self._row)
+        # A lane alone carries its fallback state as a list between its
+        # passes (see _flush_fallback); None: the bank row holds it.
+        self._fb = None
+        self._last_t: float | None = None
         self._sample_index = -1
         self._hit_streak = 0
         self._health = HEALTHY
@@ -525,13 +639,6 @@ class FallDetector:
         # _record_rows); None outside the block control loop.
         self._rows: tuple | None = None
         self._rows_done = 0
-        self._last_t: float | None = None
-        self._last_raw: np.ndarray | None = None   # last repaired 6-vector
-        self._prev_fill_anchor: np.ndarray | None = None
-        self._prev_raw_exact: np.ndarray | None = None
-        # Exact-repeat (or non-finite) run lengths: six channels, then the
-        # accel and gyro "every channel stuck or bad" runs.
-        self._streaks = np.zeros(8, dtype=int)
         self.repaired_samples = 0
         self.saturated_samples = 0
         self.gap_filled_samples = 0
@@ -539,8 +646,6 @@ class FallDetector:
         self.clock_anomalies = 0
         self.inference_errors = 0
         self.fallback_detections = 0
-        if self._fallback is not None:
-            self._fallback.reset()
         if self._standing_fault():      # e.g. constructed without a model
             self._health = FAULT
             self._health_gauge.set(float(_HEALTH_LEVEL[FAULT]))
@@ -671,13 +776,27 @@ class FallDetector:
     def accel_dead(self) -> bool:
         if self._dead_override is not None:
             return self._dead_override[0]
-        return bool(self._streaks[6] >= self.config.dead_sensor_samples)
+        return bool(self._views.streaks[0, 6]
+                    >= self.config.dead_sensor_samples)
 
     @property
     def gyro_dead(self) -> bool:
         if self._dead_override is not None:
             return self._dead_override[1]
-        return bool(self._streaks[7] >= self.config.dead_sensor_samples)
+        return bool(self._views.streaks[0, 7]
+                    >= self.config.dead_sensor_samples)
+
+    def _flush_fallback(self) -> None:
+        """Store the fallback state a lane alone carried (``_fb``) back in
+        this detector's bank row, before anything reads that row."""
+        if self._fb is not None:
+            self._views.fb_state[0] = self._fb
+            self._fb = None
+
+    @property
+    def _last_raw(self) -> np.ndarray:
+        """The last repaired sample (this detector's bank row)."""
+        return self._views.raw[0, 1]
 
     @property
     def _cnn_available(self) -> bool:
@@ -990,19 +1109,9 @@ class FallDetector:
         equality across every builtin fault scenario, random block splits
         and one-row calls, with and without a recorder.
 
-        This is the one-lane call of :func:`ingest_lanes` (the same
-        phases, minus the wrapping into a list of one), which the serving
-        engine calls with every due stream's block at once.  One lane
-        never stacks: repair/clamp/stuck tracking, gap synthesis,
-        SOS filtering (one carried-state :meth:`OnlineSosFilter.process
-        <repro.signal.filters.OnlineSosFilter.process>` call — a single
-        compiled-kernel pass — per reset-delimited segment), channel
-        scaling and window assembly (windows are views into one grown
-        history instead of n ring-buffer rolls) run as numpy ops over the
-        block; the fusion recurrence runs in one tight scalar pass
-        (:meth:`ComplementaryFilter.update_block
-        <repro.signal.orientation.ComplementaryFilter.update_block>`),
-        and the recorder receives runs of sample rows.
+        This is the one-lane call of :func:`ingest_lanes`: the same
+        phases on this detector's bank row alone, then the decision
+        replay, which hands the recorder runs of sample rows.
 
         Returns ``(detections, requests)``: fallback-path detections (at
         most one per *incoming* sample) and every staged CNN window, in
@@ -1012,251 +1121,48 @@ class FallDetector:
         return self._push_lane(accel_g, gyro_dps, t)
 
     # ------------------------------------------------------------------
-    # the ingest phases, one lane (see ingest_lanes)
+    # the decision replay (the phases before it: see ingest_lanes)
     # ------------------------------------------------------------------
     def _push_lane(self, accel_g, gyro_dps, t):
-        """One block through every phase, one lane wide, each timed into
-        its own stage."""
-        lane = self._lane(accel_g, gyro_dps, t)
-        if lane.n == 0:
+        """One block through :func:`ingest_lanes`' phases as a group of
+        one, then the decision replay."""
+        accel, gyro, t_list = _parse(accel_g, gyro_dps, t)
+        if accel.shape[0] == 0:
             return [], []
-        st = self.stages
-        clk = st.clock if st is not None else None
-        if clk is not None:
-            t0 = clk()
-        self._lane_validate(lane)
-        self._lane_plan(lane)
-        self._lane_expand(lane)
-        if clk is not None:
-            t1 = clk()
-            st.add("ingest", t1 - t0)
-        self._lane_fuse(lane)
-        if clk is not None:
-            t2 = clk()
-            st.add("fusion", t2 - t1)
-        self._lane_filter(lane)
-        if clk is not None:
-            t3 = clk()
-            st.add("filter", t3 - t2)
-        self._lane_window(lane)
-        if clk is None:
-            self._lane_fallback(lane)
-            return self._lane_decide(lane)
-        t4 = clk()
-        st.add("window", t4 - t3)
-        dec0 = st.pending_ms("decision")
-        self._lane_fallback(lane)
-        result = self._lane_decide(lane)
-        self._charge_decision(t4, dec0)
-        return result
+        return self._decide_timed(_ingest_one(self, accel, gyro, t_list))
 
-    def _charge_decision(self, t0: float, dec0: float) -> None:
-        """Charge the decision stage the wall time since ``t0`` minus the
-        spans ``_decide`` attributed to itself meanwhile (pending
-        decision ms were ``dec0`` at ``t0``)."""
+    def _decide_timed(self, inputs):
+        """:meth:`_decide_rows`, charged to the decision stage less the
+        spans ``_decide`` attributed to itself meanwhile."""
         st = self.stages
+        if st is None:
+            return self._decide_rows(*inputs)
+        t0 = st.clock()
+        dec0 = st.pending_ms("decision")
+        result = self._decide_rows(*inputs)
         wall_ms = 1000.0 * (st.clock() - t0)
         inner_ms = st.pending_ms("decision") - dec0
         st.add_ms("decision", max(0.0, wall_ms - inner_ms))
+        return result
 
-    def _lane(self, accel_g, gyro_dps, t) -> _Lane:
-        """Phase 0 — parse one block into a lane."""
-        accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
-        gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
-        n = accel.shape[0]
-        if gyro.shape[0] != n:
-            raise ValueError(
-                f"accel and gyro disagree on block length: {n} vs "
-                f"{gyro.shape[0]}"
-            )
-        if t is None:
-            t_list = None
-        elif isinstance(t, np.ndarray):
-            t_list = t.astype(float).reshape(-1).tolist()
-        else:
-            t_list = [None if v is None else float(v) for v in t]
-        if t_list is not None and len(t_list) != n:
-            raise ValueError(
-                f"t must have one entry per sample: got {len(t_list)} "
-                f"for {n}"
-            )
-        lane = _Lane()
-        lane.det = self
-        lane.accel = accel
-        lane.gyro = gyro
-        lane.t_list = t_list
-        lane.n = n
-        lane.error = None
-        return lane
+    def _decide_rows(self, accel, gyro, repaired, data_anom, dead, ts_anom,
+                     real_t, expansion, windows, ready, fb_hits):
+        """Replay the per-sample decision/health sequence over one
+        block's rows; returns ``(detections, requests)``.
 
-    def _lane_validate(self, lane: _Lane) -> None:
-        """Phase 1 — repair/clamp/stuck tracking, vectorized over the
-        block."""
-        lane.repaired, lane.data_anom, lane.dead = self._validate_block(
-            lane.accel, lane.gyro)
-
-    def _lane_plan(self, lane: _Lane) -> None:
-        """Phase 2 — timestamp classification (cheap scalar loop: the
-        carried clock is inherently sequential)."""
-        (fills, resets, lane.ts_anom, fill_base, lane.real_t,
-         n_resets) = self._plan_timestamps_block(lane.t_list, lane.n)
-        lane.plan = (fills, resets, fill_base, n_resets)
-
-    def _lane_expand(self, lane: _Lane) -> None:
-        """Phase 3 — expand gaps into synthesized fill rows.
-
-        Row metadata: owner[r] = incoming sample a row belongs to (fills
-        belong to the sample whose arrival revealed the gap), is_real
-        marks incoming rows, and segments are the reset-delimited
-        contiguous stretches.  ``lane.plan`` is ``None`` for a block
-        whose clock needs neither fills nor resets.
+        ``expansion`` is ``None`` when row r is incoming sample r, else
+        ``(rows, owner, is_real, fill_time)`` for a block with gap fills:
+        the incoming sample each row belongs to (fills belong to the
+        sample whose arrival revealed the gap), which rows are incoming
+        and the fill rows' times.  Rows with no evidence (not due, no
+        fallback hit) leave ``_decide``'s state untouched, so with clean
+        health they are skipped.
         """
-        n = lane.n
-        repaired = lane.repaired
-        total_fill = n_resets = 0
-        if lane.plan is not None:
-            fills, resets, fill_base, n_resets = lane.plan
-            anchor = self._prev_fill_anchor
-            if fills[0] and anchor is None:
-                # note_interruption seeds _last_t without an anchor: the
-                # gap is flagged (ts_anom stays) but nothing can be
-                # interpolated.
-                fills[0] = 0
-            total_fill = sum(fills)
-        if total_fill == 0 and n_resets == 0:
-            lane.m = n
-            lane.ex6 = repaired
-            lane.owner = None       # identity: row r is incoming sample r
-            lane.is_real = None     # every row is real
-            lane.fill_time = None
-            lane.reset_rows = []
-            lane.segments = [(0, n, False)]
+        n = len(ts_anom)
+        if expansion is None:
+            m, owner, is_real, fill_time = n, None, None, None
         else:
-            dt_nom = self._dt_nom
-            m = n + total_fill
-            ex6 = np.empty((m, 6))
-            owner = np.empty(m, dtype=np.intp)
-            is_real = np.zeros(m, dtype=bool)
-            fill_time = np.zeros(m)
-            reset_rows = []
-            pos = 0
-            for i in range(n):
-                k = fills[i]
-                if k:
-                    prev = repaired[i - 1] if i else anchor
-                    delta = repaired[i] - prev
-                    j = np.arange(1, k + 1)
-                    ex6[pos:pos + k] = prev + (j / (k + 1))[:, None] * delta
-                    fill_time[pos:pos + k] = fill_base[i] + j * dt_nom
-                    owner[pos:pos + k] = i
-                    pos += k
-                if resets[i]:
-                    reset_rows.append(pos)
-                ex6[pos] = repaired[i]
-                owner[pos] = i
-                is_real[pos] = True
-                pos += 1
-            cuts = [0] + [r for r in reset_rows if r] + [m]
-            lane.m = m
-            lane.ex6 = ex6
-            lane.owner = owner
-            lane.is_real = is_real
-            lane.fill_time = fill_time
-            lane.reset_rows = reset_rows
-            lane.segments = [(a, b, a in reset_rows)
-                             for a, b in zip(cuts, cuts[1:])]
-        if total_fill:
-            self.gap_filled_samples += total_fill
-            self._counter("gap_filled_samples").inc(total_fill)
-        if n_resets:
-            self.stream_resets += n_resets
-            self._counter("stream_resets").inc(n_resets)
-        # The next gap interpolates from the last repaired sample.
-        self._prev_fill_anchor = repaired[-1]
-
-    def _lane_fuse(self, lane: _Lane) -> None:
-        """Phase 4 — orientation fusion (sequential recurrence, one
-        pass; long-gap resets fold into it)."""
-        ex6 = lane.ex6
-        lane.euler = self._fusion.update_block(
-            ex6[:, :3], ex6[:, 3:], reset_rows=lane.reset_rows or None)
-
-    def _lane_filter(self, lane: _Lane) -> None:
-        """Phase 5 — SOS filter + channel scaling, one kernel pass per
-        reset-delimited segment (a long gap re-primes the filter)."""
-        raw9 = np.concatenate([lane.ex6, lane.euler], axis=1)
-        scaled = []
-        for a, b, is_reset in lane.segments:
-            if is_reset:
-                self._filter.reset()
-            scaled.append(self._filter.process(raw9[a:b]) / self._scales)
-        lane.scaled = scaled
-
-    def _lane_window(self, lane: _Lane) -> None:
-        """Phase 6 — window assembly per segment: ``windows[r]`` is the
-        full window a due row r stages, and ``ready[r]`` whether row r's
-        ring buffer had filled."""
-        window_n = self._window_n
-        hop_n = self._hop_n
-        ready = [True] * lane.m
-        windows: dict[int, np.ndarray] = {}
-        for (a, b, is_reset), scaled in zip(lane.segments, lane.scaled):
-            if is_reset:
-                # Long gap: drop the window state too.  The CNN stays
-                # silent until its window refills; the fallback keeps
-                # guarding throughout.
-                self._buffer[:] = 0.0
-                self._filled = 0
-                self._since_last_inference = 0
-            seg_len = b - a
-            hist = np.concatenate([self._buffer, scaled], axis=0)
-            filled0 = self._filled
-            # The cadence counters in closed form: the first due row
-            # completes the warm-up (or the pending hop), then one due
-            # every hop_n rows.
-            if filled0 < window_n:
-                first_due = window_n - filled0 - 1
-                ready[a:a + min(first_due, seg_len)] = (
-                    [False] * min(first_due, seg_len))
-            else:
-                first_due = hop_n - self._since_last_inference - 1
-            last_due = None
-            for r in range(first_due, seg_len, hop_n):
-                # After ingesting local row r the ring buffer holds
-                # exactly these window_n rows; _decide copies the view.
-                windows[a + r] = hist[r + 1:r + 1 + window_n]
-                last_due = r
-            if last_due is not None:
-                self._since_last_inference = seg_len - 1 - last_due
-            elif filled0 >= window_n:
-                self._since_last_inference += seg_len
-            self._filled = min(window_n, filled0 + seg_len)
-            self._buffer = hist[seg_len:].copy()
-        lane.ready = ready
-        lane.windows = windows
-
-    def _lane_fallback(self, lane: _Lane) -> None:
-        """Phase 7 — magnitude fallback: a sequential deque smoother
-        (order-dependent trailing mean), one scalar step per row."""
-        if self._fallback is not None:
-            push_fb = self._fallback.push
-            lane.fb_hits = [push_fb(row) for row in lane.ex6[:, :3].tolist()]
-        else:
-            lane.fb_hits = [False] * lane.m
-
-    def _lane_decide(self, lane: _Lane):
-        """Phase 8 — replay the per-sample decision/health sequence;
-        returns ``(detections, requests)``.
-
-        Rows with no evidence (not due, no fallback hit) leave
-        ``_decide``'s state untouched, so with clean health they are
-        skipped.
-        """
-        n, m = lane.n, lane.m
-        owner, is_real = lane.owner, lane.is_real
-        windows, ready, fb_hits = lane.windows, lane.ready, lane.fb_hits
-        real_t, fill_time = lane.real_t, lane.fill_time
-        data_anom, ts_anom, dead = lane.data_anom, lane.ts_anom, lane.dead
+            m, owner, is_real, fill_time = expansion
         base = self._sample_index
         fs = self.config.fs
         use_override = dead is not None and np.count_nonzero(dead) > 0
@@ -1270,14 +1176,20 @@ class FallDetector:
             and self.model is not None
             and not self._cnn_shed
         )
+        if (fast_health and not windows and True not in fb_hits
+                and self.recorder is None):
+            # Nothing to decide or record: the common one-row push.
+            self._clean_streak += n
+            self._sample_index = base + m
+            return [], []
         if self.recorder is not None:
             # Sample rows for the recorder, handed over lazily by
             # _record_rows; health fills in as the loop replays each row.
             index = (list(range(base + 1, base + n + 1)) if is_real is None
                      else (base + 1 + np.flatnonzero(is_real)).tolist())
             health = [self._health] * n
-            self._rows = (index, real_t, lane.accel, lane.gyro,
-                          lane.repaired, real_anom, health)
+            self._rows = (index, real_t, accel, gyro, repaired, real_anom,
+                          health)
             self._rows_done = 0
         else:
             health = None
@@ -1324,155 +1236,6 @@ class FallDetector:
         self._sample_index = base + m
         return detections, requests
 
-    def _validate_block(self, accel: np.ndarray, gyro: np.ndarray):
-        """Repair non-finite readings, clamp to the sensor rails and track
-        stuck channels / dead sensors, in vectorized passes over the block.
-
-        Non-finite entries hold the last repaired value of their channel
-        (bootstrap: 1 g gravity for accel, zero rate for gyro);
-        out-of-range entries clip.  Returns ``(repaired (n, 6),
-        data_anomaly (n,), dead (n, 2))``; ``dead`` gives each *row's*
-        view of the accel/gyro dead-sensor trackers (decisions consult
-        them between every sample).  A clean block — nothing repaired,
-        clipped, stuck or dead — returns ``None`` for both flag arrays.
-        """
-        n = accel.shape[0]
-        exact = np.concatenate([accel, gyro], axis=1)
-        prev = self._prev_raw_exact
-        # NaN never compares equal, so neither a NaN reading nor the first
-        # sample ever (NaN stand-in predecessor) repeats.
-        same = exact == (
-            (_NAN_ROW if prev is None else prev) if n == 1
-            else np.concatenate(
-                [_NAN_ROW if prev is None else prev[None, :], exact[:-1]]))
-        rails = self._rails
-        in_range = np.abs(exact) <= rails       # False for NaN/±inf too
-        # count_nonzero: cheap whole-array tests, since one-row calls are
-        # the per-sample push.  The common case — every reading finite
-        # and in range, none a repeat — breaks every streak on its first
-        # row, so no row is stuck or dead (the limits are >= 1).
-        if (np.count_nonzero(in_range) == in_range.size
-                and not np.count_nonzero(same)):
-            self._streaks = _NO_STREAKS
-            self._prev_raw_exact = self._last_raw = exact[-1]
-            return exact, None, None
-        finite = np.isfinite(exact)
-        if np.count_nonzero(finite) == finite.size:
-            bad = None
-            repaired = exact
-        else:
-            bad = ~finite
-            bad_rows = bad.any(axis=1)
-            repaired = np.where(finite, exact, np.nan)
-        # Saturation check before the hold: a held value was clipped when
-        # it was repaired, and NaN placeholders compare False.
-        over = np.abs(repaired) > rails
-        clip_rows = None
-        if np.count_nonzero(over):
-            clip_rows = over.any(axis=1)
-            n_clip = int(np.count_nonzero(clip_rows))
-            repaired = np.clip(repaired, -rails, rails)
-            self.saturated_samples += n_clip
-            self._counter("saturated_samples").inc(n_clip)
-        if bad is not None:
-            # Vectorized hold-last: each non-finite entry takes the most
-            # recent finite value in its column, falling back to the
-            # carried last-repaired sample (or the gravity bootstrap).
-            carry = (self._last_raw if self._last_raw is not None
-                     else _REPAIR_DEFAULTS)
-            src = np.where(finite, np.arange(n)[:, None], -1)
-            np.maximum.accumulate(src, axis=0, out=src)
-            held = repaired[np.maximum(src, 0), np.arange(6)]
-            repaired = np.where(src >= 0, held, carry)
-            n_bad = int(np.count_nonzero(bad_rows))
-            self.repaired_samples += n_bad
-            self._counter("repaired_samples").inc(n_bad)
-        # Stuck-at tracking on the *exact* incoming values: genuine IMU
-        # noise never repeats bit-identically, so an exact-repeat streak
-        # marks a frozen channel, and a non-finite reading also counts
-        # against its channel (±inf == ±inf, but it is in bad anyway).
-        # Columns 6/7 are the accel/gyro "every channel stuck or bad"
-        # flags; all eight streaks advance in one _running_streak pass.
-        cond = np.empty((n, 8), dtype=bool)
-        cond[:, :6] = same if bad is None else same | bad
-        np.logical_and.reduce(cond[:, :6].reshape(n, 2, 3), axis=2,
-                              out=cond[:, 6:])
-        if prev is None:
-            # The first sample ever has no predecessor: its channel
-            # streaks stay at the carried zero.
-            cond[0, :6] = False
-        streaks = _running_streak(cond, self._streaks)
-        # Stuck channels (columns 0-5) and dead sensors (6-7).
-        over_limit = streaks >= self._streak_limits
-        data_anom = over_limit[:, :6].any(axis=1)
-        if bad is not None:
-            data_anom |= bad_rows
-        if clip_rows is not None:
-            data_anom |= clip_rows
-        self._streaks = streaks[-1]
-        self._prev_raw_exact = exact[-1]
-        self._last_raw = repaired[-1]
-        return repaired, data_anom, over_limit[:, 6:]
-
-    def _plan_timestamps_block(self, t_list, n: int):
-        """Classify every inter-sample interval of the block up front and
-        carry the stream clock past it.
-
-        A timestamp closer than half a period to the previous one (early,
-        duplicate or backwards) is a clock anomaly; a gap of ``missing``
-        periods is bridged with that many fill rows, or resets the stream
-        when longer than ``max_gap_ms``.  A missing or non-finite
-        timestamp inside a timestamped stream is a clock anomaly too: its
-        evidence is gone, so the clock advances one nominal period
-        (keeping the checks armed for the next sample).
-
-        Returns ``(fills, resets, ts_anom, fill_base, real_t, n_resets)``
-        — per incoming sample: fill count, long-gap reset flag, clock/gap
-        anomaly flag, the fill interpolation base time, and the timestamp
-        (``None`` when missing or non-finite).
-        """
-        dt_nom = self._dt_nom
-        half = 0.5 * dt_nom
-        max_gap_ms = self.config.max_gap_ms
-        fills = [0] * n
-        resets = [False] * n
-        ts_anom = [False] * n
-        fill_base = [0.0] * n
-        real_t: list[float | None] = [None] * n
-        n_clock = 0
-        n_resets = 0
-        last_t = self._last_t
-        for i in range(n):
-            ti = t_list[i] if t_list is not None else None
-            if ti is None or not math.isfinite(ti):
-                if last_t is not None:
-                    n_clock += 1
-                    ts_anom[i] = True
-                    last_t = last_t + dt_nom
-                continue
-            real_t[i] = ti
-            if last_t is not None:
-                dt = ti - last_t
-                if dt < half:
-                    n_clock += 1
-                    ts_anom[i] = True
-                else:
-                    missing = int(round(dt / dt_nom)) - 1
-                    if missing > 0:
-                        ts_anom[i] = True
-                        if dt * 1000.0 > max_gap_ms:
-                            resets[i] = True
-                            n_resets += 1
-                        else:
-                            fills[i] = missing
-                            fill_base[i] = last_t
-            last_t = ti
-        if n_clock:
-            self.clock_anomalies += n_clock
-            self._counter("clock_anomalies").inc(n_clock)
-        self._last_t = last_t
-        return fills, resets, ts_anom, fill_base, real_t, n_resets
-
     def run(
         self,
         accel_g: np.ndarray,
@@ -1494,17 +1257,20 @@ class FallDetector:
 
 
 # ----------------------------------------------------------------------
-# cross-stream ingest
+# the ingest path
 # ----------------------------------------------------------------------
-#: Lanes of one length (and one config) from which a phase runs as one
-#: stacked pass instead of lane by lane.  A stacked round pays a fixed
-#: ~100 numpy calls (the fusion time loop adds ~4 a row, whatever the
-#: lane count), which a few lanes' scalar passes undercut.  Measured on
-#: a 2-core x86 VM (Python 3.11, numpy 2.4), one ingest round, stacked
-#: vs lane by lane: even at 8 lanes for 1-row blocks (336 vs 339 us),
-#: 8% faster at 4 rows, 25% faster at 20 rows; 8 lanes of 20 rows break
-#: even at ~5.
-_STACK_MIN_LANES = 8
+#: Lanes of one length (and one config) from which :func:`ingest_lanes`
+#: runs them as one stacked group instead of lane by lane.  A stacked
+#: group pays a fixed ~100 numpy calls (the fusion time loop adds ~4 a
+#: row, whatever the lane count), which a few lanes' scalar fusion and
+#: fallback passes undercut.  Re-measured with the lane bank on a 2-core
+#: x86 VM (Python 3.11, numpy 2.4), one ingest round, stacked /
+#: lane-by-lane time for 1-, 4- and 20-row blocks: 1 lane 2.63x, 2.02x,
+#: 1.42x; 3 lanes 1.33x, 1.17x, 1.07x; 4 lanes 1.09x, 0.98x, 0.88x; 5
+#: lanes 0.97x, 0.87x, 0.82x; 8 lanes 0.74x, 0.68x, 0.62x; 16 lanes
+#: 0.54x, 0.51x, 0.48x.  So a lane alone keeps its own pass
+#: (:func:`_ingest_one`), and groups stack from 5 lanes.
+_STACK_MIN_LANES = 5
 
 
 def ingest_lanes(blocks) -> list:
@@ -1518,272 +1284,584 @@ def ingest_lanes(blocks) -> list:
     state and recorder events included — or the exception the lane
     raised (the caller contains it; no other lane is affected).
 
-    The sequential parts stay per lane: timestamp planning, gap fills
-    and resets, window assembly, the health/decision replay and the
-    recorder hand-over.  Everything else runs once per group of lanes
-    with the same row count and config, when the group holds at least
-    ``_STACK_MIN_LANES`` lanes: the clean-block validation and all-clean
-    timestamp tests (a lane that fails either takes the per-lane path
-    for that phase), the complementary-filter recurrence
+    Lanes sharing a block length and config form a group.  A group of
+    at least ``_STACK_MIN_LANES`` lanes is moved into one
+    :class:`LaneBank` (the serving engine's streams already share one)
+    and runs as one stacked pass (:func:`_ingest`) that gathers its rows
+    of every bank field with one index operation and works on ``(lanes,
+    n, ...)`` arrays: validation (:func:`_validate`: repair, clamping and
+    the stuck/dead streak tracker, advanced in closed form from each
+    lane's carried streaks, so the exact repeats quantized readings
+    produce all the time never take a lane out of the pass), the
+    all-clean timestamp test, the complementary-filter recurrence
     (:meth:`ComplementaryFilter.update_lanes
     <repro.signal.orientation.ComplementaryFilter.update_lanes>`), the
     Butterworth as one kernel call (:meth:`OnlineSosFilter.process_lanes
-    <repro.signal.filters.OnlineSosFilter.process_lanes>`, lanes with a
-    single reset-free segment), channel scaling and the fallback
-    smoother (:meth:`MagnitudeFallback.push_lanes`).  Smaller groups,
-    and a one-lane call, run each phase lane by lane.  A stacked phase
-    writes no lane state until it has succeeded; if it raises, the
-    group reruns that phase one lane at a time, so only a lane that
-    raises on its own is lost.
+    <repro.signal.filters.OnlineSosFilter.process_lanes>`), channel
+    scaling and the fallback smoother
+    (:meth:`MagnitudeFallback.push_lanes`).  Per lane stay the timestamp
+    plan of a lane that fails the clean test, the stream phases of a
+    lane whose block holds gap fills or long-gap resets, window assembly
+    and the health/decision replay with the recorder hand-over.  The
+    group scatters its rows back only once every phase has succeeded; if
+    it raises, its lanes rerun one at a time, so only a lane that raises
+    on its own is lost.  Smaller groups run lane by lane
+    (:func:`_ingest_one`, the same phases on the lane's bank row).
 
-    Stage timing: a lane's per-lane phases are timed as in
-    ``push_block``; a stacked round charges each lane a share of every
+    Stage timing: a group charges each timed lane a share of every
     phase's wall time in proportion to its rows.
     """
-    if len(blocks) < _STACK_MIN_LANES:
-        results = []
-        for det, accel_g, gyro_dps, t in blocks:
-            try:
-                results.append(det._push_lane(accel_g, gyro_dps, t))
-            except Exception as exc:
-                results.append(exc)
-        return results
-    return _ingest_stacked(blocks)
-
-
-def _ingest_stacked(blocks) -> list:
     results: list = [None] * len(blocks)
-    lanes = []
+    groups: dict = {}
     for i, (det, accel_g, gyro_dps, t) in enumerate(blocks):
         try:
-            lane = det._lane(accel_g, gyro_dps, t)
+            lane = (det,) + _parse(accel_g, gyro_dps, t)
+            key = (det._bank.design, lane[1].shape[0])
         except Exception as exc:
             results[i] = exc
             continue
-        if lane.n == 0:
+        if key[1] == 0:
             results[i] = ([], [])
-            continue
-        lane.index = i
-        lanes.append(lane)
-    clk = next((lane.det.stages.clock for lane in lanes
-                if lane.det.stages is not None), None)
-    if clk is not None:
-        t0 = clk()
-    _phase(_groups(lanes, "n"), _validate_lanes, FallDetector._lane_validate)
-    _phase(_groups(lanes, "n"), _plan_lanes, FallDetector._lane_plan)
-    _phase([_Group(lanes)], None, FallDetector._lane_expand)
-    if clk is not None:
-        t1 = clk()
-        _charge(lanes, "ingest", t1 - t0, "n")
-    groups = _groups(lanes, "m")
-    _phase(groups, _fuse_lanes, FallDetector._lane_fuse)
-    if clk is not None:
-        t2 = clk()
-        _charge(lanes, "fusion", t2 - t1, "m")
-    _phase(groups, _filter_lanes, FallDetector._lane_filter)
-    if clk is not None:
-        t3 = clk()
-        _charge(lanes, "filter", t3 - t2, "m")
-    _phase([_Group(lanes)], None, FallDetector._lane_window)
-    if clk is not None:
-        t4 = clk()
-        _charge(lanes, "window", t4 - t3, "m")
-    _phase(groups, _fallback_lanes, FallDetector._lane_fallback)
-    if clk is not None:
-        _charge(lanes, "decision", clk() - t4, "m")
-    for lane in lanes:
-        det = lane.det
-        if lane.error is None:
+        else:
+            groups.setdefault(key, []).append((i, lane))
+    for members in groups.values():
+        staged = None
+        if len(members) >= _STACK_MIN_LANES:
+            lanes = [lane for _, lane in members]
+            bank = lanes[0][0]._bank
             try:
-                if det.stages is None:
-                    results[lane.index] = det._lane_decide(lane)
-                else:
-                    t5 = det.stages.clock()
-                    dec0 = det.stages.pending_ms("decision")
-                    results[lane.index] = det._lane_decide(lane)
-                    det._charge_decision(t5, dec0)
+                for lane in lanes:
+                    bank.attach(lane[0])
+                staged = _ingest(bank, lanes)
+            except Exception:
+                _logger.exception(
+                    "stacked ingest raised for %d lanes; rerunning them "
+                    "one at a time", len(lanes))
+        for k, (i, lane) in enumerate(members):
+            det = lane[0]
+            try:
+                inputs = (staged[k] if staged is not None
+                          else _ingest_one(*lane))
+                results[i] = det._decide_timed(inputs)
             except Exception as exc:
-                lane.error = exc
-        if lane.error is not None:
-            results[lane.index] = lane.error
+                results[i] = exc
     return results
 
 
-class _Group(list):
-    """Lanes sharing a row count and a config."""
-
-    _ex6 = None
-
-    @property
-    def ex6(self) -> np.ndarray:
-        """The lanes' expanded rows stacked ``(lanes, m, 6)``, built
-        once per group."""
-        if self._ex6 is None:
-            self._ex6 = np.stack([lane.ex6 for lane in self])
-        return self._ex6
-
-
-def _groups(lanes, rows: str) -> list[_Group]:
-    """The live lanes grouped by ``rows`` (``"n"`` before expansion,
-    ``"m"`` after) and config."""
-    groups: dict = {}
-    for lane in lanes:
-        if lane.error is None:
-            key = (getattr(lane, rows), lane.det._stack_key)
-            groups.setdefault(key, _Group()).append(lane)
-    return list(groups.values())
+def _parse(accel_g, gyro_dps, t):
+    """One block as ``(accel (n, 3), gyro (n, 3), timestamps or None)``."""
+    accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
+    gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
+    n = accel.shape[0]
+    if gyro.shape[0] != n:
+        raise ValueError(
+            f"accel and gyro disagree on block length: {n} vs "
+            f"{gyro.shape[0]}"
+        )
+    if t is None:
+        return accel, gyro, None
+    if isinstance(t, np.ndarray):
+        t_list = t.astype(float).reshape(-1).tolist()
+    else:
+        t_list = [None if v is None else float(v) for v in t]
+    if len(t_list) != n:
+        raise ValueError(
+            f"t must have one entry per sample: got {len(t_list)} for {n}"
+        )
+    return accel, gyro, t_list
 
 
-def _phase(groups, stacked, solo) -> None:
-    """Run one phase: ``stacked(group)`` on each group of at least
-    ``_STACK_MIN_LANES`` live lanes (it returns the lanes it leaves to
-    the per-lane step; if it raises, the whole group reruns one lane at
-    a time), then ``solo(detector, lane)`` per remaining lane, each lane
-    contained."""
-    for group in groups:
-        if any(lane.error is not None for lane in group):
-            group[:] = [lane for lane in group if lane.error is None]
-            group._ex6 = None
-        rest = group
-        if stacked is not None and len(group) >= _STACK_MIN_LANES:
-            try:
-                rest = stacked(group)
-            except Exception:
-                _logger.exception(
-                    "stacked %s raised for %d lanes; rerunning them one "
-                    "at a time", stacked.__name__, len(group))
-                rest = group
-        for lane in rest:
-            try:
-                solo(lane.det, lane)
-            except Exception as exc:
-                lane.error = exc
+def _ingest_one(det, accel, gyro, t_list) -> tuple:
+    """Every phase before the decision replay for a lane alone; returns
+    its :meth:`FallDetector._decide_rows` inputs.  The lane's bank row
+    advances in place through the detector's views, except the fallback
+    state, which the lane carries as a list (``FallDetector._fb``); each
+    phase is charged to its own stage timer."""
+    d = det._bank.design
+    state = det._views
+    st = det.stages
+    clk = None if st is None else st.clock
+    if clk is not None:
+        t0 = clk()
+    counts: dict = {}
+    plan, clock, anomalies = _plan_clock(d, t_list, accel.shape[0],
+                                         det._last_t)
+    if anomalies:
+        counts["clock_anomalies"] = [anomalies]
+    gaps = plan[2]
+    if gaps is not None:
+        # Gap interpolation starts from the carried last repaired sample,
+        # if the stream ever had one.
+        anchor = (state.raw[0, 1].copy() if state.streaks[0, 0] >= 0
+                  else None)
+    repaired, data_anom, dead = _validate(d, state, accel[None],
+                                          gyro[None], counts)
+    ex6, expansion, segments = repaired, None, None
+    if gaps is not None:
+        ex6, expansion, segments = _expand(d, repaired[0], gaps, anchor,
+                                           0, counts, 1)
+        ex6 = ex6[None]
+    if clk is not None:
+        st.add("ingest", clk() - t0)
+    ring = [det._buffer, det._filled, det._since_last_inference]
+    fb = det._fb
+    if fb is None and d.fallback is not None:
+        fb = det._fb = state.fb_state[0].tolist()
+    (out,) = _stream_pass(d, state, ex6, segments, (ring,), clk, st, fb)
+    det._buffer, det._filled, det._since_last_inference = ring
+    det._last_t = clock
+    if counts:
+        _add_counts((det,), counts)
+    return (accel, gyro, repaired[0],
+            None if data_anom is None else data_anom[0],
+            None if dead is None else dead[0], plan[0], plan[1],
+            expansion) + out
 
 
-def _charge(lanes, stage: str, elapsed_s: float, rows: str) -> None:
-    """Split one stacked phase's wall time over the timed live lanes, in
-    proportion to their rows."""
-    live = [lane for lane in lanes if lane.error is None]
-    total = sum(getattr(lane, rows) for lane in live)
-    if not total:
-        return
-    per_row = elapsed_s / total
-    for lane in live:
-        if lane.det.stages is not None:
-            lane.det.stages.add(stage, per_row * getattr(lane, rows))
+def _add_counts(dets, counts: dict) -> None:
+    """Add each lane's anomaly counts to its detector and registry."""
+    for name, per_lane in counts.items():
+        for det, count in zip(dets, per_lane):
+            if count:
+                setattr(det, name, getattr(det, name) + count)
+                det._counter(name).inc(count)
 
 
-def _validate_lanes(group) -> list:
-    """Stacked clean-block test: every reading finite and in range, none
-    an exact repeat.  A clean lane's block needs no repair and breaks
-    every streak on its first row, so it takes ``_validate_block``'s
-    fast-path result here; the others are left to it."""
-    det0 = group[0].det
-    exact = np.concatenate([np.stack([lane.accel for lane in group]),
-                            np.stack([lane.gyro for lane in group])],
-                           axis=2)
-    prev = np.stack([_NAN_ROW[0] if lane.det._prev_raw_exact is None
-                     else lane.det._prev_raw_exact for lane in group])
-    same = exact == np.concatenate([prev[:, None], exact[:, :-1]], axis=1)
+def _ingest(bank: LaneBank, lanes) -> list:
+    """:func:`_ingest_one` for a stacked group — ``lanes`` of ``(det,
+    accel, gyro, t_list)`` sharing one bank and block length — as one
+    pass over ``(lanes, n, ...)`` arrays; returns each lane's inputs.
+
+    The group works on a gathered copy of its bank rows, scattered back
+    — with every lane's window ring, clock and counters — only once
+    every phase has succeeded.  A lane whose block holds gap fills or
+    long-gap resets leaves the stack after validation and planning and
+    runs the stream phases alone.
+    """
+    d = bank.design
+    dets = [lane[0] for lane in lanes]
+    t_lists = [lane[3] for lane in lanes]
+    for det in dets:
+        det._flush_fallback()
+    rows = np.array([det._row for det in dets])
+    state = bank.gather(rows)
+    accel = np.array([lane[1] for lane in lanes])
+    gyro = np.array([lane[2] for lane in lanes])
+    clk = next((det.stages.clock for det in dets
+                if det.stages is not None), None)
+    spent = None if clk is None else _Spent()
+    n = accel.shape[1]
+    if clk is not None:
+        t0 = clk()
+    counts: dict = {}
+    plans, clocks = _plan(d, dets, t_lists, n, counts)
+    # Gap interpolation starts from the block's predecessor: the carried
+    # last repaired sample, if the stream ever had one.
+    anchors = {k: (state.raw[k, 1].copy(), state.streaks[k, 0] >= 0)
+               for k, plan in enumerate(plans) if plan[2] is not None}
+    repaired, data_anom, dead = _validate(d, state, accel, gyro, counts)
+    if clk is not None:
+        spent.add("ingest", clk() - t0)
+    rings = [[det._buffer, det._filled, det._since_last_inference]
+             for det in dets]
+    outputs: list = [None] * len(dets)
+    regular = [k for k, plan in enumerate(plans) if plan[2] is None]
+    if len(regular) == len(dets):
+        passed = _stream_pass(d, state, repaired, None, rings, clk, spent)
+        outputs = [(None,) + out for out in passed]
+    elif regular:
+        sub = _BankRows(*(field[regular] for field in state))
+        passed = _stream_pass(d, sub, repaired[regular], None,
+                              [rings[k] for k in regular], clk, spent)
+        for field, part in zip(state, sub):
+            field[regular] = part
+        for k, out in zip(regular, passed):
+            outputs[k] = (None,) + out
+    for k, (anchor, seen) in anchors.items():
+        if clk is not None:
+            t0 = clk()
+        ex6, expansion, segments = _expand(d, repaired[k], plans[k][2],
+                                           anchor if seen else None, k,
+                                           counts, len(dets))
+        if clk is not None:
+            spent.add("ingest", clk() - t0)
+        (out,) = _stream_pass(d, _BankRows(*(f[k:k + 1] for f in state)),
+                              ex6[None], segments, rings[k:k + 1], clk,
+                              spent)
+        outputs[k] = (expansion,) + out
+    bank.scatter(rows, state)
+    if clk is not None:
+        _charge(dets, spent, [len(out[3]) for out in outputs])
+    for det, ring, clock in zip(dets, rings, clocks):
+        det._buffer, det._filled, det._since_last_inference = ring
+        det._last_t = clock
+    _add_counts(dets, counts)
+    return [(lane[1], lane[2], repaired[k],
+             None if data_anom is None else data_anom[k],
+             None if dead is None else dead[k]) + plans[k][:2] + outputs[k]
+            for k, lane in enumerate(lanes)]
+
+
+class _Spent(dict):
+    """A stacked group's phase times (seconds), until :func:`_charge`."""
+
+    def add(self, stage: str, elapsed_s: float) -> None:
+        self[stage] = self.get(stage, 0.0) + elapsed_s
+
+
+def _charge(dets, spent: _Spent, sizes: list) -> None:
+    """Split a group's phase times over its timed lanes: validation and
+    planning evenly (the lanes share a block length), the stream phases
+    by expanded rows."""
+    total = sum(sizes)
+    ingest = spent.pop("ingest", 0.0) / len(dets)
+    for det, size in zip(dets, sizes):
+        st = det.stages
+        if st is not None:
+            st.add("ingest", ingest)
+            for stage, elapsed_s in spent.items():
+                st.add(stage, elapsed_s * size / total)
+
+
+def _validate(d, state: _BankRows, accel, gyro, counts: dict):
+    """Repair non-finite readings, clamp to the sensor rails and track
+    stuck channels / dead sensors for a group's ``(lanes, n, 3)`` blocks
+    in vectorized passes over their ``(lanes, n, 6)`` stack, advancing
+    ``state``'s trackers in place.
+
+    Non-finite entries hold the last repaired value of their channel
+    (bootstrap: 1 g gravity for accel, zero rate for gyro); out-of-range
+    entries clip.  Stuck-at tracking runs on the *exact* incoming values:
+    genuine IMU noise never repeats bit-identically, so an exact-repeat
+    streak marks a frozen channel, and a non-finite reading also counts
+    against its channel (±inf == ±inf, but it is bad anyway).  The six
+    channel streaks and the accel/gyro "every channel stuck or bad" runs
+    advance in one :func:`_running_streak` pass from each lane's carried
+    streaks, so the exact repeats quantized sensors produce all the time
+    cost nothing extra while no streak reaches its limit.
+
+    Returns ``repaired (lanes, n, 6)``, ``data_anom (lanes, n)`` and
+    ``dead (lanes, n, 2)`` — each *row's* view of the dead-sensor
+    trackers (decisions consult them between every sample).  When every
+    reading is finite, in range and no repeat, both flag arrays are
+    ``None``: no streak survives the block's first row.  Anomaly counts
+    go to ``counts``.
+    """
+    exact = np.concatenate([accel, gyro], axis=2)
     lanes, n = exact.shape[:2]
-    in_range = np.abs(exact) <= det0._rails
-    clean = ((np.count_nonzero(in_range.reshape(lanes, -1), axis=1)
-              == n * 6)
-             & (np.count_nonzero(same.reshape(lanes, -1), axis=1) == 0))
-    rest = []
-    for lane, ok, block in zip(group, clean.tolist(), exact):
-        if not ok:
-            rest.append(lane)
-            continue
-        det = lane.det
-        det._streaks = _NO_STREAKS
-        det._prev_raw_exact = det._last_raw = block[-1]
-        lane.repaired = block
-        lane.data_anom = lane.dead = None
-    return rest
+    raw = state.raw
+    # NaN never compares equal, so neither a NaN reading nor the first
+    # sample ever (NaN stand-in predecessor) repeats.
+    same = exact == (raw[:, :1] if n == 1 else np.concatenate(
+        [raw[:, :1], exact[:, :-1]], axis=1))
+    rails = d.rails
+    in_range = np.abs(exact) <= rails       # False for NaN/±inf too
+    if (np.count_nonzero(in_range) == in_range.size
+            and not np.count_nonzero(same)):
+        # Every reading finite and in range, none a repeat: every streak
+        # breaks on the first row, so no row is stuck or dead (the limits
+        # are >= 1).  Both stores are the one-row push's whole bank
+        # write, so they take the cheapest forms.
+        state.streaks.fill(0)
+        raw[:] = exact if n == 1 else exact[:, -1:]
+        return exact, None, None
+    finite = np.isfinite(exact)
+    flagged = []
+    if np.count_nonzero(finite) == finite.size:
+        bad = None
+        repaired = exact
+        over = ~in_range
+    else:
+        bad = ~finite
+        bad_rows = bad.any(axis=2)
+        repaired = np.where(finite, exact, np.nan)
+        # Saturation check before the hold: a held value was clipped when
+        # it was repaired, and NaN placeholders compare False.
+        over = np.abs(repaired) > rails
+    clip_rows = None
+    if np.count_nonzero(over):
+        clip_rows = over.any(axis=2)
+        flagged.append(("saturated_samples", clip_rows))
+        repaired = np.clip(repaired, -rails, rails)
+    if bad is not None:
+        # Vectorized hold-last: each non-finite entry takes the most
+        # recent finite value in its column, falling back to the lane's
+        # carried last-repaired sample (or the gravity bootstrap).
+        src = np.where(finite, np.arange(n)[:, None], -1)
+        np.maximum.accumulate(src, axis=1, out=src)
+        held = np.take_along_axis(repaired, np.maximum(src, 0), axis=1)
+        repaired = np.where(src >= 0, held, raw[:, 1:])
+        flagged.append(("repaired_samples", bad_rows))
+    cond = np.empty((lanes, n, 8), dtype=bool)
+    cond[:, :, :6] = same if bad is None else same | bad
+    np.logical_and.reduce(cond[:, :, :6].reshape(lanes, n, 2, 3), axis=3,
+                          out=cond[:, :, 6:])
+    # A channel's carried streak is -1 before the stream's first sample,
+    # so that sample's own streak is 0 whatever it reads.
+    streaks = _running_streak(cond, state.streaks)
+    over_limit = streaks >= d.limits
+    data_anom = over_limit[:, :, :6].any(axis=2)
+    if bad is not None:
+        data_anom |= bad_rows
+    if clip_rows is not None:
+        data_anom |= clip_rows
+    for name, flags in flagged:
+        counts[name] = np.count_nonzero(flags, axis=1).tolist()
+    state.streaks[:] = streaks[:, -1]
+    raw[:, 0] = exact[:, -1]
+    raw[:, 1] = repaired[:, -1]
+    return repaired, data_anom, over_limit[:, :, 6:]
 
 
-def _plan_lanes(group) -> list:
-    """Stacked all-clean timestamp test: a lane whose block is fully
-    timestamped at a period that needs no fill (or is untimestamped
-    with no clock yet) plans no fills, resets or anomalies, and its
-    clock ends at its last timestamp.  The others are left to
-    ``_plan_timestamps_block``."""
-    det0 = group[0].det
-    dt_nom = det0._dt_nom
-    n = group[0].n
-    timed = [lane for lane in group if lane.t_list is not None]
-    clean = []
-    rest = [lane for lane in group
-            if lane.t_list is None and lane.det._last_t is not None]
-    clean_untimed = [lane for lane in group
-                     if lane.t_list is None and lane.det._last_t is None]
-    if timed:
-        t = np.array([lane.t_list for lane in timed], dtype=float)
-        last = np.array([np.nan if lane.det._last_t is None
-                         else lane.det._last_t for lane in timed])
-        dt = np.diff(t, axis=1, prepend=last[:, None])
-        # The scalar plan's tests, elementwise: no early/duplicate
-        # sample (dt < half a period) and no missing one (round(dt /
-        # period) >= 2; np.rint rounds half to even like round()).
-        ok = (dt >= 0.5 * dt_nom) & (np.rint(dt / dt_nom) <= 1.0)
-        ok[:, 0] |= np.isnan(last)
-        good = ok.all(axis=1) & np.isfinite(t).all(axis=1)
-        for lane, is_clean in zip(timed, good.tolist()):
-            (clean if is_clean else rest).append(lane)
+def _plan(d, dets, t_lists, n: int, counts: dict):
+    """Classify every lane's timestamps; returns per lane ``(ts_anom,
+    real_t, gaps)`` — per incoming sample the clock/gap anomaly flag and
+    the timestamp (``None`` when missing or non-finite), and ``gaps``
+    ``(fills, resets, fill_base, n_resets)``, or ``None`` when the block
+    needs neither fills nor resets — and each lane's clock after it.
+
+    The stacked all-clean test first: a lane whose block is fully
+    timestamped at a period that needs no fill (or is untimestamped with
+    no clock yet) plans no fills, resets or anomalies, and its clock ends
+    at its last timestamp.  The others take :func:`_plan_clock`.
+    """
+    clocks = [det._last_t for det in dets]
+    plans: list = [None] * len(dets)
+    scalar = []
     no_anom = [False] * n
     untimed = [None] * n
-    for lane in clean:
-        lane.det._last_t = lane.t_list[-1]
-        lane.plan = None
-        lane.ts_anom = no_anom
-        lane.real_t = lane.t_list
-    for lane in clean_untimed:
-        lane.plan = None
-        lane.ts_anom = no_anom
-        lane.real_t = untimed
-    return rest
+    timed = []
+    for k, t_list in enumerate(t_lists):
+        if t_list is not None:
+            timed.append(k)
+        elif clocks[k] is None:
+            plans[k] = (no_anom, untimed, None)
+        else:
+            scalar.append(k)
+    if timed:
+        dt_nom = d.dt_nom
+        t = np.array([t_lists[k] for k in timed], dtype=float)
+        prev = np.array([np.nan if clocks[k] is None else clocks[k]
+                         for k in timed])
+        dt = np.diff(t, axis=1, prepend=prev[:, None])
+        # The scalar plan's tests, elementwise: no early/duplicate sample
+        # (dt < half a period) and no missing one (round(dt / period) >=
+        # 2; np.rint rounds half to even like round()).
+        ok = (dt >= 0.5 * dt_nom) & (np.rint(dt / dt_nom) <= 1.0)
+        ok[:, 0] |= np.isnan(prev)
+        good = ok.all(axis=1) & np.isfinite(t).all(axis=1)
+        for k, is_clean in zip(timed, good.tolist()):
+            if is_clean:
+                plans[k] = (no_anom, t_lists[k], None)
+                clocks[k] = t_lists[k][-1]
+            else:
+                scalar.append(k)
+    if scalar:
+        anomalies = [0] * len(dets)
+        for k in scalar:
+            plans[k], clocks[k], anomalies[k] = _plan_clock(
+                d, t_lists[k], n, clocks[k])
+        if any(anomalies):
+            counts["clock_anomalies"] = anomalies
+    return plans, clocks
 
 
-def _fuse_lanes(group) -> list:
-    ex6 = group.ex6
-    euler = ComplementaryFilter.update_lanes(
-        [lane.det._fusion for lane in group], ex6[:, :, :3], ex6[:, :, 3:],
-        [lane.reset_rows for lane in group])
-    for lane, angles in zip(group, euler):
-        lane.euler = angles
-    return []
+def _plan_clock(d, t_list, n: int, last_t):
+    """Classify every inter-sample interval of one block up front and
+    carry the stream clock ``last_t`` past it; returns ``((ts_anom,
+    real_t, gaps), clock, clock anomalies)`` as :func:`_plan` describes.
+
+    A timestamp closer than half a period to the previous one (early,
+    duplicate or backwards) is a clock anomaly; a gap of ``missing``
+    periods is bridged with that many fill rows, or resets the stream
+    when longer than ``max_gap_ms``.  A missing or non-finite timestamp
+    inside a timestamped stream is a clock anomaly too: its evidence is
+    gone, so the clock advances one nominal period (keeping the checks
+    armed for the next sample).
+    """
+    dt_nom = d.dt_nom
+    half = 0.5 * dt_nom
+    max_gap_ms = d.max_gap_ms
+    fills = [0] * n
+    resets = [False] * n
+    ts_anom = [False] * n
+    fill_base = [0.0] * n
+    real_t: list[float | None] = [None] * n
+    n_clock = 0
+    n_resets = 0
+    for i in range(n):
+        ti = t_list[i] if t_list is not None else None
+        if ti is None or not math.isfinite(ti):
+            if last_t is not None:
+                n_clock += 1
+                ts_anom[i] = True
+                last_t = last_t + dt_nom
+            continue
+        real_t[i] = ti
+        if last_t is not None:
+            dt = ti - last_t
+            if dt < half:
+                n_clock += 1
+                ts_anom[i] = True
+            else:
+                missing = int(round(dt / dt_nom)) - 1
+                if missing > 0:
+                    ts_anom[i] = True
+                    if dt * 1000.0 > max_gap_ms:
+                        resets[i] = True
+                        n_resets += 1
+                    else:
+                        fills[i] = missing
+                        fill_base[i] = last_t
+        last_t = ti
+    gaps = None
+    if n_resets or any(fills):
+        gaps = (fills, resets, fill_base, n_resets)
+    return (ts_anom, real_t, gaps), last_t, n_clock
 
 
-def _filter_lanes(group) -> list:
-    """One kernel call for the group's single-segment lanes, then
-    channel scaling over the whole stack; multi-segment lanes are left
-    to ``_lane_filter``."""
-    single = [i for i, lane in enumerate(group) if len(lane.segments) == 1]
-    if not single:
-        return group
-    stack = group if len(single) == len(group) else [group[i] for i in single]
-    raw9 = np.concatenate(
-        [group.ex6[single], np.stack([lane.euler for lane in stack])],
-        axis=2)
-    for lane in stack:
-        if lane.segments[0][2]:         # reset on row 0: re-prime
-            lane.det._filter.reset()
-    scaled = OnlineSosFilter.process_lanes(
-        [lane.det._filter for lane in stack], raw9) / group[0].det._scales
-    for lane, block in zip(stack, scaled):
-        lane.scaled = [block]
-    return [lane for lane in group if len(lane.segments) != 1]
+def _expand(d, repaired, gaps, anchor, k: int, counts: dict,
+            lanes: int):
+    """Expand one lane's gaps into synthesized fill rows (linear
+    interpolation from the previous repaired sample, ``anchor`` for the
+    block's first) and cut its block at long-gap resets; returns ``(ex6
+    (m, 6), expansion, segments)`` — :meth:`FallDetector._decide_rows`'
+    ``expansion`` and the reset-delimited ``(start, stop, is_reset)``
+    stretches."""
+    fills, resets, fill_base, n_resets = gaps
+    n = len(fills)
+    if fills[0] and anchor is None:
+        # note_interruption seeds the clock before any sample: the gap
+        # is flagged (ts_anom stays) but nothing can be interpolated.
+        fills[0] = 0
+    total_fill = sum(fills)
+    dt_nom = d.dt_nom
+    m = n + total_fill
+    ex6 = np.empty((m, 6))
+    owner = np.empty(m, dtype=np.intp)
+    is_real = np.zeros(m, dtype=bool)
+    fill_time = np.zeros(m)
+    reset_rows = []
+    pos = 0
+    for i in range(n):
+        fill = fills[i]
+        if fill:
+            prev = repaired[i - 1] if i else anchor
+            delta = repaired[i] - prev
+            j = np.arange(1, fill + 1)
+            ex6[pos:pos + fill] = prev + (j / (fill + 1))[:, None] * delta
+            fill_time[pos:pos + fill] = fill_base[i] + j * dt_nom
+            owner[pos:pos + fill] = i
+            pos += fill
+        if resets[i]:
+            reset_rows.append(pos)
+        ex6[pos] = repaired[i]
+        owner[pos] = i
+        is_real[pos] = True
+        pos += 1
+    cuts = [0] + [r for r in reset_rows if r] + [m]
+    segments = [(a, b, a in reset_rows) for a, b in zip(cuts, cuts[1:])]
+    for name, count in (("gap_filled_samples", total_fill),
+                        ("stream_resets", n_resets)):
+        if count:
+            counts.setdefault(name, [0] * lanes)[k] = count
+    expansion = (m, owner, is_real, fill_time) if total_fill else None
+    return ex6, expansion, segments
 
 
-def _fallback_lanes(group) -> list:
-    if group[0].det._fallback is None:
-        return group
-    hits = MagnitudeFallback.push_lanes(
-        [lane.det._fallback for lane in group], group.ex6[:, :, :3])
-    for lane, lane_hits in zip(group, hits):
-        lane.fb_hits = lane_hits
-    return []
+def _stream_pass(d, state: _BankRows, ex6, segments, rings, clk,
+                 spent, fb=None) -> list:
+    """Fusion, the SOS filter, scaling, window assembly and the fallback
+    over ``ex6 (lanes, m, 6)``, advancing ``state`` and the lanes' window
+    ``rings`` (``[buffer, filled, since last inference]``) in place.
+    ``segments`` cuts a lane's rows at its long-gap resets, where filter,
+    fusion and window start over (``None``: one reset-free stretch).
+    ``fb`` is a lane alone's carried fallback state (a list, used in
+    place of ``state.fb_state``).  Phase times go to ``spent.add``.
+    Returns per lane ``(windows, ready, fallback hits)``: the full window
+    each due row stages, and per row whether its window had filled."""
+    lanes, m = ex6.shape[:2]
+    if lanes == 1:          # a one-row push: spare it two comprehensions
+        windows, ready = [{}], [[True] * m]
+    else:
+        windows = [{} for _ in range(lanes)]
+        ready = [[True] * m for _ in range(lanes)]
+    if clk is not None:
+        lap = clk()
+    for a, b, is_reset in segments or ((0, m, False),):
+        if is_reset:
+            # The CNN stays silent until its window refills; the
+            # fallback keeps guarding throughout.
+            state.sos[:] = np.nan
+            state.angles[:] = np.nan
+            for ring in rings:
+                ring[:] = (np.zeros_like(ring[0]), 0, 0)
+        seg = ex6 if b - a == m else ex6[:, a:b]
+        if lanes == 1:
+            euler = d.fusion.advance(state.angles[0], seg[0, :, :3],
+                                     seg[0, :, 3:])[None]
+        else:
+            euler = d.fusion.update_lanes(state.angles, seg[:, :, :3],
+                                          seg[:, :, 3:])
+        if clk is not None:
+            now = clk()
+            spent.add("fusion", now - lap)
+            lap = now
+        scaled = d.filter.process_lanes(
+            state.sos, np.concatenate([seg, euler], axis=2)) / d.scales
+        if clk is not None:
+            now = clk()
+            spent.add("filter", now - lap)
+            lap = now
+        for lane in range(lanes):
+            _window(d, rings[lane], scaled[lane], a, windows[lane],
+                    ready[lane])
+        if clk is not None:
+            now = clk()
+            spent.add("window", now - lap)
+            lap = now
+    if d.fallback is None:
+        hits = [[False] * m] * lanes
+    elif fb is not None:
+        hits = [d.fallback._steps(fb, ex6[0, :, :3].tolist())]
+    else:
+        hits = d.fallback.push_lanes(state.fb_state, ex6[:, :, :3])
+    if clk is not None:
+        spent.add("decision", clk() - lap)
+    return list(zip(windows, ready, hits))
+
+
+def _window(d, ring: list, scaled, offset: int, windows: dict,
+            ready: list) -> None:
+    """Window assembly for one lane's reset-free stretch: due rows get
+    views of the full window into one grown history (instead of a
+    ring-buffer roll per row), rows before the window first fills are
+    marked not ready, and ``ring`` advances."""
+    window_n, hop_n = d.window_n, d.hop_n
+    buffer, filled, since = ring
+    m = scaled.shape[0]
+    hist = np.concatenate([buffer, scaled], axis=0)
+    # The cadence counters in closed form: the first due row completes
+    # the warm-up (or the pending hop), then one due every hop_n rows.
+    if filled < window_n:
+        first = window_n - filled - 1
+        if first > 0:
+            cold = min(first, m)
+            ready[offset:offset + cold] = [False] * cold
+    else:
+        first = hop_n - since - 1
+    due = range(first, m, hop_n)
+    for r in due:
+        # After ingesting row r the ring holds exactly these window_n
+        # rows; _decide copies the view.
+        windows[offset + r] = hist[r + 1:r + 1 + window_n]
+    if due:
+        since = m - 1 - due[-1]
+    elif filled >= window_n:
+        since += m
+    # A view: nothing writes the ring in place (a reset rebinds it), so
+    # the windows staged from hist stay intact.
+    ring[:] = (hist[m:], min(window_n, filled + m), since)
 
 
 class AirbagController:

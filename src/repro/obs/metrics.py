@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left
 
 __all__ = [
     "Counter",
@@ -112,11 +113,12 @@ class Histogram:
             self._sum += value
             self._min = min(self._min, value)
             self._max = max(self._max, value)
-            for i, edge in enumerate(self.edges):
-                if value <= edge:
-                    self._counts[i] += 1
-                    return
-            self._counts[-1] += 1
+            # The first edge >= value; NaN compares False to every edge,
+            # so it joins the overflow bucket (bisect would say 0).
+            if value == value:
+                self._counts[bisect_left(self.edges, value)] += 1
+            else:
+                self._counts[-1] += 1
 
     @property
     def count(self) -> int:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..alerts import AlertConfig, AlertManager
-from ..core.detector import Detection, DetectorConfig, ingest_lanes
+from ..core.detector import Detection, DetectorConfig, LaneBank, ingest_lanes
 from ..nn.config import batch_invariant
 from ..obs import (
     FlightConfig,
@@ -146,6 +146,9 @@ class ServeEngine:
         self.registry = registry if registry is not None else get_registry()
         self._sessions: dict[str, StreamSession] = {}
         cfg = self.config
+        # Every stream's detector state lives in one row of this bank, so
+        # a round's stacked ingest indexes it instead of gathering.
+        self._bank = LaneBank(cfg.detector)
         window_n = cfg.detector.window_samples
         self.model = self._resolve_backend(model, calibration, window_n)
         self._empty_batch = np.empty((0, window_n, 9))
@@ -270,6 +273,7 @@ class ServeEngine:
                 flight=self.config.flight,
                 stage_clock=self._stage_clock,
             )
+            self._bank.attach(session.detector)
             self._sessions[stream_id] = session
         return session
 

@@ -268,60 +268,39 @@ class OnlineSosFilter:
 
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Filter a block of samples ``(n, channels)`` (or a single ``(channels,)``)."""
-        from scipy.signal._sosfilt import _sosfilt
-
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if samples.shape[1] != self.channels:
-            raise ValueError(
-                f"expected {self.channels} channels, got {samples.shape[1]}"
-            )
-        if self._state is not None and not np.isfinite(self._state).all():
-            # A non-finite input poisons IIR state forever; self-heal by
-            # re-priming from the first sample of this block.
-            self._state = None
         if self._state is None:
-            self._state = self._zi_template * samples[0][:, None, None]
-        y = np.array(samples.T, order="C")
-        _sosfilt(self.sos, y, self._state)
-        return y.T
+            self._state = np.full(
+                (self.channels,) + self._zi_template.shape, np.nan)
+        return self.process_lanes(self._state[None], samples[None])[0]
 
-    @staticmethod
-    def process_lanes(filters, samples) -> np.ndarray:
-        """:meth:`process` for many streams in one kernel call.
+    def process_lanes(self, state: np.ndarray,
+                      samples: np.ndarray) -> np.ndarray:
+        """:meth:`process` for many streams in one kernel call, their
+        state held by the caller.
 
-        ``filters`` share one design (``sos`` and ``channels``);
-        ``samples`` stacks one block per filter as ``(lanes, n,
-        channels)``.  Each lane's state is gathered from its filter,
-        primed or self-healed exactly as :meth:`process` would, the
-        kernel runs once over the ``(lanes * channels, n)`` signal, and
-        each lane's exit state is scattered back.  The kernel filters
-        every signal row independently, so the output and states are
-        bit-identical to one :meth:`process` call per lane.
+        ``state`` stacks one filter state per stream as ``(lanes,
+        channels, n_sections, 2)`` — the kernel's own layout, advanced in
+        place — and ``samples`` one block per stream as ``(lanes, n,
+        channels)``.  A lane whose state is non-finite (NaN: never
+        primed) is primed, or self-healed, from its first sample exactly
+        as :meth:`process` would.  The kernel filters every signal row
+        independently, so outputs and states are bit-identical to one
+        :meth:`process` call per lane.
         """
         from scipy.signal._sosfilt import _sosfilt
 
-        samples = np.asarray(samples, dtype=float)
         lanes, n, channels = samples.shape
-        sos = filters[0].sos
-        for f in filters:
-            if f.channels != channels or not (
-                    f.sos is sos or np.array_equal(f.sos, sos)):
-                raise ValueError(
-                    "process_lanes needs filters sharing one design")
-        state = np.empty((lanes, channels) + filters[0]._zi_template.shape)
-        primed = np.zeros(lanes, dtype=bool)
-        for lane, f in enumerate(filters):
-            if f._state is not None:
-                state[lane] = f._state
-                primed[lane] = True
-        healthy = np.isfinite(state.reshape(lanes, -1)).all(axis=1)
-        for lane in np.flatnonzero(~(primed & healthy)).tolist():
-            f = filters[lane]
-            state[lane] = f._zi_template * samples[lane, 0][:, None, None]
+        if channels != self.channels:
+            raise ValueError(
+                f"expected {self.channels} channels, got {channels}")
+        flat = state.reshape((lanes * channels,) + self._zi_template.shape)
+        if np.count_nonzero(np.isfinite(flat)) != flat.size:
+            healthy = np.isfinite(state.reshape(lanes, -1)).all(axis=1)
+            for lane in np.flatnonzero(~healthy).tolist():
+                state[lane] = (self._zi_template
+                               * samples[lane, 0][:, None, None])
         # Always a copy: the kernel filters in place.
         y = np.array(samples.transpose(0, 2, 1), order="C")
-        _sosfilt(sos, y.reshape(lanes * channels, n),
-                 state.reshape((lanes * channels,) + state.shape[2:]))
-        for lane, f in enumerate(filters):
-            f._state = state[lane]
+        _sosfilt(self.sos, y.reshape(lanes * channels, n), flat)
         return y.transpose(0, 2, 1)

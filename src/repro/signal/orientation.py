@@ -29,7 +29,9 @@ def accel_inclination(accel_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Only exact while the sensor is quasi-static (gravity dominates), which
     is precisely why the complementary filter blends it with the gyro.
     """
-    a = np.atleast_2d(np.asarray(accel_g, dtype=float))
+    a = np.asarray(accel_g, dtype=float)
+    if a.ndim == 1:
+        a = a[None]
     ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
     pitch = np.degrees(np.arctan2(ax, np.sqrt(ay**2 + az**2)))
     roll = np.degrees(np.arctan2(ay, az))
@@ -81,26 +83,33 @@ class ComplementaryFilter:
         self._angles = np.array([pitch, roll, yaw])
         return self._angles.copy()
 
-    def update_block(
-        self,
-        accel_g: np.ndarray,
-        gyro_dps: np.ndarray,
-        reset_rows=None,
-    ) -> np.ndarray:
+    def update_block(self, accel_g: np.ndarray,
+                     gyro_dps: np.ndarray) -> np.ndarray:
         """Fuse a block ``(n, 3)`` carrying streaming state across calls.
 
-        Bit-identical to calling :meth:`update` once per row: the
-        accelerometer inclination is vectorised (elementwise, so each row
-        matches the per-sample call exactly) while the blend recurrence —
-        inherently sequential — runs in one tight scalar pass using the
-        same operation order as :meth:`update`.  ``reset_rows`` lists row
-        indices at which to :meth:`reset` *before* fusing that row (the
-        detector's long-gap stream resets).  Unlike :meth:`process`, the
-        entry state is honoured and the exit state is kept for the next
-        call.
+        Bit-identical to calling :meth:`update` once per row (see
+        :meth:`advance`, which runs the block on this filter's state).
+        Unlike :meth:`process`, the entry state is honoured and the exit
+        state is kept for the next call.
+        """
+        angles = (np.full(3, np.nan) if self._angles is None
+                  else np.array(self._angles, dtype=float))
+        out = self.advance(angles, accel_g, gyro_dps)
+        self._angles = angles
+        return out
+
+    def advance(self, angles: np.ndarray, accel_g: np.ndarray,
+                gyro_dps: np.ndarray) -> np.ndarray:
+        """Fuse a block ``(n, 3)`` from caller-held state: ``angles``
+        ``(3,)`` (NaN: unprimed) is advanced in place; returns the
+        angles ``(n, 3)``.
+
+        The accelerometer inclination is vectorised (elementwise, so each
+        row matches the per-sample call exactly) while the blend
+        recurrence — inherently sequential — runs in one tight scalar
+        pass using the same operation order as :meth:`update`.
         """
         accel_g = np.asarray(accel_g, dtype=float)
-        gyro_dps = np.asarray(gyro_dps, dtype=float)
         n = accel_g.shape[0]
         out = np.empty((n, 3))
         if n == 0:
@@ -108,58 +117,47 @@ class ComplementaryFilter:
         pitch_acc, roll_acc = accel_inclination(accel_g)
         pa = pitch_acc.tolist()
         ra = roll_acc.tolist()
-        gyro_rows = gyro_dps.tolist()
-        resets = set(reset_rows) if reset_rows is not None else ()
+        gyro_rows = np.asarray(gyro_dps, dtype=float).tolist()
         alpha = self.alpha
         one_m_alpha = 1.0 - alpha
         dt = self.dt
-        if self._angles is None:
-            state = None
+        state = tuple(angles.tolist())
+        if state[0] != state[0]:
+            # Bootstrap from the accelerometer; yaw starts at 0.
+            state = (pa[0], ra[0], 0.0)
+            out[0] = state
+            first = 1
         else:
-            state = (float(self._angles[0]), float(self._angles[1]),
-                     float(self._angles[2]))
-        for i in range(n):
-            if i in resets:
-                state = None
-            if state is None:
-                # Bootstrap from the accelerometer; yaw starts at 0.
-                state = (pa[i], ra[i], 0.0)
-            else:
-                pitch, roll, yaw = state
-                gx, gy, gz = gyro_rows[i]
-                state = (
-                    alpha * (pitch + gy * dt) + one_m_alpha * pa[i],
-                    alpha * (roll + gx * dt) + one_m_alpha * ra[i],
-                    yaw + gz * dt,
-                )
+            first = 0
+        for i in range(first, n):
+            pitch, roll, yaw = state
+            gx, gy, gz = gyro_rows[i]
+            state = (
+                alpha * (pitch + gy * dt) + one_m_alpha * pa[i],
+                alpha * (roll + gx * dt) + one_m_alpha * ra[i],
+                yaw + gz * dt,
+            )
             out[i] = state
-        self._angles = np.array(state)
+        angles[0], angles[1], angles[2] = state
         return out
 
-    @staticmethod
-    def update_lanes(filters, accel_g, gyro_dps, reset_rows=None):
-        """:meth:`update_block` lifted across streams: one time loop, all
+    def update_lanes(self, angles, accel_g, gyro_dps) -> np.ndarray:
+        """:meth:`advance` lifted across streams: one time loop, all
         streams wide.
 
-        ``filters`` are the streams' filters (sharing ``fs`` and ``tau``)
-        and ``accel_g`` / ``gyro_dps`` their blocks stacked ``(lanes, n,
-        3)``; ``reset_rows`` optionally gives each lane its
-        :meth:`update_block` reset rows.  Each lane's entry state is read
-        from its filter and its exit state written back; returns the
-        angles ``(lanes, n, 3)``.
+        ``angles`` ``(lanes, 3)`` holds the streams' states (NaN rows:
+        unprimed) and is advanced in place; ``accel_g`` / ``gyro_dps``
+        stack their blocks ``(lanes, n, 3)``.  Returns the angles
+        ``(lanes, n, 3)``.
 
-        Bit-identical to one :meth:`update_block` per lane: every step
-        runs ``alpha * (angle + rate * dt) + (1 - alpha) * angle_acc`` as
+        Bit-identical to one :meth:`advance` per lane: every step runs
+        ``alpha * (angle + rate * dt) + (1 - alpha) * angle_acc`` as
         elementwise ufuncs in the scalar pass's operation order (yaw rides
-        along with gain 1 and blend 0, both exact), and bootstrap rows —
-        an unprimed lane's first row, a reset row — overwrite the lane
-        with the accelerometer angles and zero yaw.
+        along with gain 1 and blend 0, both exact), and an unprimed
+        lane's first row is overwritten with the accelerometer angles and
+        zero yaw.
         """
-        first = filters[0]
-        alpha, dt = first.alpha, first.dt
-        for f in filters:
-            if f.alpha != alpha or f.dt != dt:
-                raise ValueError("update_lanes needs filters sharing fs and tau")
+        alpha, dt = self.alpha, self.dt
         lanes, n = accel_g.shape[:2]
         out = np.empty((lanes, n, 3))
         if n == 0:
@@ -173,26 +171,15 @@ class ComplementaryFilter:
         step = gyro_dps[:, :, [1, 0, 2]] * dt
         blend = (1.0 - alpha) * acc
         gain = np.array([alpha, alpha, 1.0])
-        state = np.zeros((lanes, 3))
-        boot: dict[int, list[int]] = {}
-        for lane, f in enumerate(filters):
-            if f._angles is None:
-                boot.setdefault(0, []).append(lane)
-            else:
-                state[lane] = f._angles
-        for lane, rows in enumerate(reset_rows or ()):
-            for row in rows or ():
-                boot.setdefault(row, []).append(lane)
+        boot = np.flatnonzero(np.isnan(angles[:, 0]))
+        state = angles
         for i in range(n):
             np.add(state, step[:, i], out=state)
             np.multiply(state, gain, out=state)
             np.add(state, blend[:, i], out=state)
-            fresh = boot.get(i)
-            if fresh is not None:
-                state[fresh] = acc[fresh, i]
+            if i == 0 and boot.size:
+                state[boot] = acc[boot, 0]
             out[:, i] = state
-        for lane, f in enumerate(filters):
-            f._angles = state[lane]
         return out
 
     def process(self, accel_g: np.ndarray, gyro_dps: np.ndarray) -> np.ndarray:

@@ -27,13 +27,54 @@ import math
 
 import numpy as np
 
-from repro.core.detector import _REPAIR_DEFAULTS, FallDetector
+from repro.core.detector import (
+    _REPAIR_DEFAULTS,
+    FallDetector,
+    MagnitudeFallback,
+)
+from repro.signal.filters import OnlineSosFilter
+from repro.signal.orientation import ComplementaryFilter
 
 __all__ = ["ScalarDetector", "feed"]
 
 
 class ScalarDetector(FallDetector):
     """:class:`FallDetector` with the per-sample reference ingest."""
+
+    # The reference chain keeps its streaming state in plain attributes,
+    # not in a lane-bank row: this shadows the bank-reading property.
+    _last_raw = None
+
+    def _init_stream_state(self) -> None:
+        super()._init_stream_state()
+        self._filter = OnlineSosFilter(self._bank.design.filter.sos,
+                                       channels=9)
+        self._fusion = ComplementaryFilter(fs=self.config.fs)
+
+    def _init_health_state(self) -> None:
+        self._dead_override = None
+        self._last_raw = None           # last repaired 6-vector
+        self._prev_fill_anchor = None
+        self._prev_raw_exact = None
+        # Exact-repeat (or non-finite) run lengths: six channels, then the
+        # accel and gyro "every channel stuck or bad" runs.
+        self._streaks = np.zeros(8, dtype=int)
+        self._fallback = (MagnitudeFallback(fs=self.config.fs)
+                          if self.config.fallback else None)
+        super()._init_health_state()
+
+    @property
+    def accel_dead(self) -> bool:
+        if self._dead_override is not None:
+            return self._dead_override[0]
+        return bool(self._streaks[6] >= self.config.dead_sensor_samples)
+
+    @property
+    def gyro_dead(self) -> bool:
+        if self._dead_override is not None:
+            return self._dead_override[1]
+        return bool(self._streaks[7] >= self.config.dead_sensor_samples)
+
 
     # -- streaming API ----------------------------------------------------
     def push(self, accel_g, gyro_dps, t=None):
@@ -75,7 +116,7 @@ class ScalarDetector(FallDetector):
             self.repaired_samples += 1
             self._counter("repaired_samples").inc()
             anomaly = True
-        rails = self._rails
+        rails = self._bank.design.rails
         clipped = np.abs(raw) > rails
         if clipped.any():
             raw = np.clip(raw, -rails, rails)
@@ -112,7 +153,7 @@ class ScalarDetector(FallDetector):
             self.clock_anomalies += 1
             self._counter("clock_anomalies").inc()
             return 0, False, True
-        dt_nom = self._dt_nom
+        dt_nom = self._bank.design.dt_nom
         dt = t - self._last_t
         if dt < 0.5 * dt_nom:
             self.clock_anomalies += 1
@@ -146,7 +187,7 @@ class ScalarDetector(FallDetector):
         if clk is not None:
             t2 = clk()
             st.add("filter", t2 - t1)
-        filtered = filtered / self._scales
+        filtered = filtered / self._bank.design.scales
         self._buffer[:-1] = self._buffer[1:]
         self._buffer[-1] = filtered
         if self._filled < self._window_n:
@@ -158,7 +199,7 @@ class ScalarDetector(FallDetector):
                 due = True
         else:
             self._since_last_inference += 1
-            if self._since_last_inference < self._hop_n:
+            if self._since_last_inference < self._bank.design.hop_n:
                 due = False
             else:
                 self._since_last_inference = 0
@@ -196,7 +237,7 @@ class ScalarDetector(FallDetector):
             st.add("ingest", clk() - t0)
         anomaly = data_anomaly or clock_anomaly
         detection = None
-        dt_nom = self._dt_nom
+        dt_nom = self._bank.design.dt_nom
         cur = np.concatenate([accel, gyro])
         if long_gap:
             self._reset_stream_state()

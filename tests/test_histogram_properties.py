@@ -1,4 +1,4 @@
-"""Property tests for ``Histogram.merge``.
+"""Property tests for ``Histogram.merge`` and ``Histogram.observe``.
 
 The fleet front's exactness claim — per-shard histograms shipped back at
 stop and merged at the front equal one histogram observing everything —
@@ -8,9 +8,12 @@ single-registry observation.  Observations use exactly representable
 (dyadic) floats so the ``sum`` comparisons are ``==``, not approx.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -97,3 +100,51 @@ def test_merge_requires_identical_edges():
     b = Histogram(buckets=(1.0, 2.0))
     with pytest.raises(ValueError):
         a.merge(b)
+
+
+def _linear_reference(values):
+    """What ``observe`` computed before it bisected: the first edge the
+    value does not exceed, else the overflow bucket."""
+    counts = [0] * (len(EDGES) + 1)
+    lo, hi, total = float("inf"), float("-inf"), 0.0
+    for value in values:
+        total += value
+        lo, hi = min(lo, value), max(hi, value)
+        for i, edge in enumerate(EDGES):
+            if value <= edge:
+                counts[i] += 1
+                break
+        else:
+            counts[-1] += 1
+    return counts, len(values), total, lo, hi
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and math.isnan(a)
+                      and math.isnan(b))
+
+
+_SPECIAL = st.sampled_from(
+    list(EDGES) + [(a + b) / 2 for a, b in zip(EDGES, EDGES[1:])]
+    + [0.0, -0.0, -1.0, -8.0, 9.0, math.inf, -math.inf, math.nan,
+       math.nextafter(EDGES[0], 0.0), math.nextafter(EDGES[-1], 99.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_SPECIAL, st.floats(allow_nan=True)),
+                max_size=30))
+def test_observe_buckets_like_a_linear_scan(values):
+    """Edge values, values between edges, 0, negatives, ±inf and NaN: the
+    bucket counts, count, sum, min and max equal the linear scan's, and
+    NaN lands in the overflow bucket."""
+    hist = _observe_all(values)
+    counts, count, total, lo, hi = _linear_reference(values)
+    assert hist._counts == counts
+    assert hist.count == count
+    assert _same(hist._sum, total)
+    assert _same(hist._min, lo) and _same(hist._max, hi)
+
+
+def test_nan_lands_in_the_overflow_bucket():
+    hist = _observe_all([math.nan, EDGES[0], -math.inf])
+    assert hist._counts == [2, 0, 0, 0, 0, 1]

@@ -99,8 +99,10 @@ def no_per_sample_fusion(monkeypatch):
 
 def test_recorder_never_runs_the_per_sample_fusion(no_per_sample_fusion):
     """A recorder attached to the detector keeps it on the block path:
-    ``push``, ``push_collect`` and ``push_block`` all fuse through
-    ``update_block``, and so does a flight-recording engine."""
+    ``push``, ``push_collect`` and ``push_block`` all fuse a block at a
+    time (``ComplementaryFilter.advance``), and so does a flight-recording
+    engine (``update_lanes`` for a stacked group, ``advance`` for a lane
+    alone)."""
     streams = _fault_streams()
     accel, gyro, t = streams["nan_burst"]
     detector = FallDetector(MagnitudeProbeModel(), CFG,
