@@ -8,11 +8,13 @@ fleet-wide :class:`~repro.alerts.AlertManager`, and ``fleet/*`` metrics.
 Routing & determinism
     ``crc32(stream_id) % n_shards`` — stable across processes and runs.
     Each ``pump()`` dispatches every shard's buffered samples as one
-    *round* (all shards compute concurrently), then collects replies in
-    shard order.  Worker engines batch under ``batch_invariant``, so a
-    stream's detections are bitwise independent of which siblings share
-    its shard — an N-shard fleet reproduces a single engine's output
-    byte for byte (proven by ``tests/test_fleet.py``).
+    *round* — one ``(rows, 7)`` float64 array plus its per-stream runs
+    (see :mod:`repro.fleet.worker`) — so all shards compute
+    concurrently, then collects replies in shard order.  Worker engines
+    batch under ``batch_invariant``, so a stream's detections are
+    bitwise independent of which siblings share its shard — an N-shard
+    fleet reproduces a single engine's output byte for byte (proven by
+    ``tests/test_fleet.py``).
 
 Backpressure
     Per-shard ingest buffers are bounded by ``queue_capacity``; overload
@@ -42,6 +44,9 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from ..alerts import AlertConfig, AlertManager
 from ..core.detector import Detection
@@ -54,7 +59,12 @@ from ..obs import (
 )
 from ..obs.trace import SpanRecord
 from ..serve.engine import ServeConfig
-from ..serve.session import sample_row
+from ..serve.session import (
+    block_length,
+    latest_timestamp,
+    sample_block,
+    sample_row,
+)
 from ..utils import Backoff
 from .worker import shard_main
 
@@ -114,8 +124,36 @@ class FleetConfig:
             raise ValueError("max_restarts must be >= 1")
 
 
+def _round_message(seq: int, batch: list) -> tuple:
+    """One shard round on the wire: ``("round", seq, run_sids, run_lens,
+    block)``.  ``block`` stacks the buffered ``(stream_id, row)``
+    samples' rows, in order, into one ``(rows, 7)`` float64 array (a raw
+    buffer that pickles at 8 bytes a value and round-trips float64
+    exactly — the bit-identity proof depends on the pipe being
+    lossless); consecutive rows of one stream form one run, named once
+    in ``run_sids`` with its row count in ``run_lens``."""
+    run_sids: list = []
+    run_lens: list = []
+    last = None
+    for stream_id, _ in batch:
+        if stream_id == last:
+            run_lens[-1] += 1
+        else:
+            run_sids.append(stream_id)
+            run_lens.append(1)
+            last = stream_id
+    block = np.fromiter(chain.from_iterable(row for _, row in batch),
+                        float, 7 * len(batch)).reshape(-1, 7)
+    return ("round", seq, run_sids, run_lens, block)
+
+
 class _Shard:
-    """Mutable per-shard supervisor state (process handle + buffers)."""
+    """Mutable per-shard supervisor state (process handle + buffers).
+
+    ``pending`` buffers the shard's next round as ``(stream_id, row)``
+    samples, ``row`` a flat ``(ax, ay, az, gx, gy, gz, t)`` of floats
+    (``t`` NaN when missing); ``inflight`` holds the last dispatched
+    round's samples until its reply arrives."""
 
     __slots__ = ("index", "process", "conn", "pending", "inflight",
                  "backoff", "restart_at", "seq", "failed", "last_reply",
@@ -148,7 +186,7 @@ class FleetFront:
         for sample in telemetry:
             front.submit(sample.stream_id, sample.accel, sample.gyro,
                          t=sample.t)
-            ...
+            ...                        # or submit_block(...) per packet
         for stream_id, detection in front.pump():   # dispatch + collect
             page(stream_id, detection)
         report = front.close()
@@ -230,52 +268,90 @@ class FleetFront:
 
     def submit(self, stream_id: str, accel_g, gyro_dps,
                t: float | None = None) -> bool:
-        """Buffer one sample for its shard; False when shed or dropped.
+        """Buffer one sample for its shard; True when it is queued, False
+        when it is refused.
 
         Never raises into the caller: a full shard buffer sheds its
-        oldest sample, a fleet with no surviving shards drops, and a
-        malformed sample (not three numeric readings per sensor, or a
-        non-numeric timestamp) is refused — both counted in
-        ``dropped_samples``.
+        *oldest* sample to make room (the new one is still queued, the
+        shed one counted in ``shed_samples``), while a fleet with no
+        surviving shards drops the sample, and a malformed one (not three
+        numeric readings per sensor, or a non-numeric timestamp) is
+        refused — both counted in ``dropped_samples``.
         """
         home = self.shard_for(stream_id)
         if home is None:
             self.dropped_samples += 1
             return False
-        # Plain-float tuples pickle smaller than ndarray rows and
-        # round-trip float64 exactly — the bit-identity proof depends on
-        # the pipe being lossless.  Unpacking three readings per sensor is
-        # the cheap path; any other shape goes through sample_row, the
-        # engine's definition of a well-formed sample.
+        # The engine's cheap path: ``tolist`` on the (3,) float ndarrays
+        # callers pass copies the readings out as Python floats.  Any
+        # other shape or dtype goes through sample_row, the engine's
+        # definition of a well-formed sample — the front must refuse a
+        # malformed one here, since the pump packs every buffered row
+        # into one float64 array.
         try:
-            ax, ay, az = accel_g
-            gx, gy, gz = gyro_dps
-            sample = (stream_id, (float(ax), float(ay), float(az)),
-                      (float(gx), float(gy), float(gz)),
-                      None if t is None else float(t))
-        except (TypeError, ValueError):
+            if accel_g.dtype.kind != "f" or gyro_dps.dtype.kind != "f":
+                raise TypeError("not float readings")
+            ax, ay, az = accel_g.tolist()
+            gx, gy, gz = gyro_dps.tolist()
+            if ax.__class__ is list or gx.__class__ is list:
+                raise ValueError("not a (3,) reading")
+            t = math.nan if t is None else float(t)
+            row = (ax, ay, az, gx, gy, gz, t)
+        except Exception:
             row = sample_row(accel_g, gyro_dps, t)
             if row is None:
                 self.dropped_samples += 1
                 return False
-            sample = (stream_id, row[:3], row[3:6],
-                      None if t is None else row[6])
-        t = sample[3]
-        shard = self._shards[home]
-        shed = False
-        if len(shard.pending) >= self.config.queue_capacity:
-            shard.pending.popleft()
-            self.shed_samples += 1
-            shed = True
-        shard.pending.append(sample)
-        self.samples_in += 1
-        if t is not None and math.isfinite(t):
+            t = row[6]
+        self._enqueue(stream_id, home, ((stream_id, row),), t)
+        return True
+
+    def submit_block(self, stream_id: str, accel_g, gyro_dps,
+                     t=None) -> int:
+        """Buffer ``n`` samples of one stream for its shard (shaped as for
+        :meth:`ServeEngine.submit_block
+        <repro.serve.ServeEngine.submit_block>`); returns how many of
+        them are queued.
+
+        Never raises: a block longer than ``queue_capacity`` keeps its
+        freshest rows, and a malformed block
+        (:func:`~repro.serve.session.sample_block`) or one for a fleet
+        with no surviving shard is refused whole, every row counted in
+        ``dropped_samples``.
+        """
+        block = sample_block(accel_g, gyro_dps, t)
+        if block is None:
+            self.dropped_samples += block_length(accel_g)
+            return 0
+        home = self.shard_for(stream_id)
+        if home is None:
+            self.dropped_samples += len(block)
+            return 0
+        rows = block.tolist()
+        self._enqueue(stream_id, home, [(stream_id, row) for row in rows],
+                      latest_timestamp(rows))
+        return min(len(rows), self.config.queue_capacity)
+
+    def _enqueue(self, stream_id: str, home: int, samples, t: float) -> None:
+        """Both front doors' one buffering step: append ``(stream_id,
+        row)`` samples to the shard's buffer, shed its oldest beyond
+        ``queue_capacity``, count ``samples_in`` and advance the stream
+        and fleet clocks to ``t`` (the samples' latest timestamp) when it
+        is finite."""
+        pending = self._shards[home].pending
+        pending.extend(samples)
+        shed = len(pending) - self.config.queue_capacity
+        if shed > 0:
+            self.shed_samples += shed
+            for _ in range(shed):
+                pending.popleft()
+        self.samples_in += len(samples)
+        if math.isfinite(t):
             # Non-finite timestamps are missing ones: they advance neither
             # the failover clock nor the fleet's stream clock.
-            self._last_t[stream_id] = float(t)
+            self._last_t[stream_id] = t
             if self._latest_t is None or t > self._latest_t:
-                self._latest_t = float(t)
-        return not shed
+                self._latest_t = t
 
     # ------------------------------------------------------------------
     # the supervisor/pump loop
@@ -306,7 +382,7 @@ class FleetFront:
             batch = list(shard.pending)
             shard.pending.clear()
             try:
-                shard.conn.send(("round", shard.seq, batch))
+                shard.conn.send(_round_message(shard.seq, batch))
             except (OSError, ValueError):
                 self.send_errors += 1
                 self._requeue(shard, batch)

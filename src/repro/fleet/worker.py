@@ -4,9 +4,13 @@ The front (:mod:`repro.fleet.front`) hash-assigns streams onto N worker
 processes; each worker owns one engine on its **own** metrics registry
 and drives it through a synchronous message loop over a duplex pipe:
 
-``("round", seq, samples)``
-    Submit every ``(stream_id, accel, gyro, t)`` sample, run one
-    ``engine.step()``, reply ``("ok", seq, results, stats)`` where
+``("round", seq, run_sids, run_lens, block)``
+    ``block`` is the round's samples as one ``(rows, 7)`` float64 array
+    of ``(ax, ay, az, gx, gy, gz, t)`` rows (``t`` NaN when missing),
+    cut into runs of consecutive rows of one stream: run ``i`` is the
+    next ``run_lens[i]`` rows, of stream ``run_sids[i]``.  Hand each
+    run's slice to ``engine.submit_block``, run one ``engine.step()``,
+    reply ``("ok", seq, results, stats)`` where
     ``results`` is ``[(stream_id, Detection, health), ...]`` —
     detections are frozen dataclasses of floats, so they pickle back to
     the front bit-exactly.
@@ -99,14 +103,17 @@ def shard_main(conn, shard_index: int, model, serve_config, base_seed: int,
             break  # front is gone; nothing left to serve
         kind = message[0]
         if kind == "round":
-            _, seq, samples = message
+            _, seq, run_sids, run_lens, block = message
             results = []
-            for stream_id, accel, gyro, t in samples:
-                # Engine.submit never raises on load; anything else is a
-                # per-sample bug we contain so the shard stays up.
+            lo = 0
+            for stream_id, n in zip(run_sids, run_lens):
+                rows = block[lo:lo + n]
+                lo += n
+                # submit_block never raises on load; anything else is a
+                # bug we contain so the shard stays up.
                 try:
-                    engine.submit(stream_id, np.asarray(accel, dtype=float),
-                                  np.asarray(gyro, dtype=float), t)
+                    engine.submit_block(stream_id, rows[:, :3], rows[:, 3:6],
+                                        rows[:, 6])
                 except Exception:
                     _logger.exception("submit failed for %r", stream_id)
             try:

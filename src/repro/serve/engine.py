@@ -3,10 +3,11 @@
 The single-stream :class:`~repro.core.detector.FallDetector` costs one
 batch-of-1 ``Model.predict`` per due window — N concurrent wearables cost
 N full forwards.  :class:`ServeEngine` amortises that: it accepts
-interleaved ``(stream_id, accel, gyro, t)`` samples into bounded
-per-stream queues, advances every session's filter/ring-buffer state, and
-collects *all* windows that come due across sessions into **one** batched
-``Model.predict`` call per inference round.
+interleaved ``(stream_id, accel, gyro, t)`` samples (or whole blocks of
+one stream's samples) into bounded per-stream queues, advances every
+session's filter/ring-buffer state, and collects *all* windows that come
+due across sessions into **one** batched ``Model.predict`` call per
+inference round.
 
 Correctness contract
 --------------------
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,13 @@ from ..obs import (
     get_registry,
     stage_attribution,
 )
-from .session import StreamSession, sample_row
+from .session import (
+    StreamSession,
+    block_length,
+    latest_timestamp,
+    sample_block,
+    sample_row,
+)
 
 __all__ = ["ServeConfig", "ServeEngine"]
 
@@ -62,6 +70,7 @@ _logger = get_logger(__name__)
 #: dominate, then powers of two up to 4096 windows.
 _BATCH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _LATENCY_BUCKETS_MS = tuple(0.01 * 2 ** i for i in range(23))
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,9 @@ class ServeEngine:
         for sample in telemetry:               # interleaved streams
             engine.submit(sample.stream_id, sample.accel, sample.gyro,
                           t=sample.t)
+        for packet in packets:                 # or whole (n, 3) blocks
+            engine.submit_block(packet.stream_id, packet.accel,
+                                packet.gyro, t=packet.t)
         for stream_id, detection in engine.step():   # drain + infer
             fire_airbag(stream_id, detection)
     """
@@ -145,7 +157,11 @@ class ServeEngine:
         self.config = config or ServeConfig()
         self.registry = registry if registry is not None else get_registry()
         self._sessions: dict[str, StreamSession] = {}
+        # The queue of every stream in service (a quarantined stream
+        # leaves it): one lookup finds where a submit goes.
+        self._queues: dict[str, deque] = {}
         cfg = self.config
+        self._capacity = cfg.queue_capacity     # read once per submit
         # Every stream's detector state lives in one row of this bank, so
         # a round's stacked ingest indexes it instead of gathering.
         self._bank = LaneBank(cfg.detector)
@@ -174,9 +190,6 @@ class ServeEngine:
         self.detections = 0
         self._synced: dict[str, int] = {}
         self._inference_s = 0.0
-        # Deepest any stream's queue got since the last step — bursty
-        # submits between steps are otherwise invisible to the gauge.
-        self._peak_queue_depth = 0
         #: Fleet alert pipeline (``None`` unless ``config.alerts``).
         self.alerts = (AlertManager(cfg.alerts, registry=self.registry)
                        if cfg.alerts is not None else None)
@@ -196,7 +209,9 @@ class ServeEngine:
         #: Stream time of the latest completed step — the liveness stamp
         #: ``/healthz`` reports so "serving" and "stuck" look different.
         self.last_round_t: float | None = None
-        self._latest_t: float | None = None
+        # Latest finite timestamp any sample carried (-inf before one
+        # does): one chained comparison per sample keeps it current.
+        self._latest_t = -math.inf
 
     # ------------------------------------------------------------------
     # backend
@@ -272,37 +287,26 @@ class ServeEngine:
                 per_stream_metrics=self.config.per_stream_metrics,
                 flight=self.config.flight,
                 stage_clock=self._stage_clock,
+                queue_capacity=self._capacity,
             )
             self._bank.attach(session.detector)
             self._sessions[stream_id] = session
+            self._queues[stream_id] = session.queue
         return session
 
     def submit(self, stream_id: str, accel_g, gyro_dps,
                t: float | None = None) -> bool:
-        """Enqueue one sample; False when it was shed or rejected.
+        """Enqueue one sample; True when it is queued, False when it is
+        refused (a stream beyond ``max_streams``, or a quarantined one).
 
         Never raises on load: an unknown stream beyond ``max_streams`` is
-        rejected and counted, a full queue sheds its oldest sample, and a
-        quarantined stream's samples are dropped.  The sample is copied
-        into the queue, so a caller may reuse its buffers at once.  Nor
-        does it raise on a malformed sample: that is queued as such, and
-        the stream is quarantined when it is drained.
+        rejected and counted, a full queue sheds its *oldest* sample to
+        make room (the new one is still queued), and a quarantined
+        stream's samples are dropped.  The sample is copied into the
+        queue, so a caller may reuse its buffers at once.  Nor does it
+        raise on a malformed sample: that is queued as such, and the
+        stream is quarantined when it is drained.
         """
-        session = self._sessions.get(stream_id)
-        if session is None:
-            try:
-                session = self.session(stream_id)
-            except KeyError:
-                self.rejected_streams += 1
-                return False
-        if session.quarantined:
-            self.dropped_samples += 1
-            return False
-        queue = session.queue
-        if len(queue) >= self.config.queue_capacity:
-            queue.popleft()
-            session.dropped_samples += 1
-            self.dropped_samples += 1
         # Copy the readings into one flat row of floats, so a caller may
         # reuse its buffers: ``tolist`` on the (3,) ndarrays callers
         # pass is the cheap path; any other shape or type goes through
@@ -320,18 +324,86 @@ class ServeEngine:
         except Exception:
             row = sample_row(accel_g, gyro_dps, t)
             t = row[6] if row is not None else math.nan
+        queue = self._queue_for(stream_id, 1, t)
+        if queue is None:
+            return False
         queue.append(row)
-        if len(queue) > self._peak_queue_depth:
-            self._peak_queue_depth = len(queue)
-        self.samples_in += 1
-        if (math.isfinite(t)
-                and (self._latest_t is None or t > self._latest_t)):
+        return True
+
+    def submit_block(self, stream_id: str, accel_g, gyro_dps,
+                     t=None) -> int:
+        """Enqueue ``n`` samples of one stream (``accel_g`` and
+        ``gyro_dps`` shaped ``(n, 3)``, ``t`` shaped ``(n,)`` or ``None``,
+        NaN or ``None`` marking a missing timestamp); returns how many of
+        them are queued.
+
+        The block twin of :meth:`submit`, through the same enqueue step:
+        any split of a stream into blocks yields the detections that
+        per-sample submits of the same samples do.  Never raises: a
+        block longer than ``queue_capacity`` keeps its freshest rows
+        (and sheds everything queued before it), and a refused block
+        returns 0, every row counted — rejected for a new stream beyond
+        ``max_streams``, dropped for a quarantined stream, and, unlike
+        :meth:`submit`, dropped whole when it is malformed (see
+        :func:`~repro.serve.session.sample_block`).
+        """
+        block = sample_block(accel_g, gyro_dps, t)
+        if block is None:
+            self.dropped_samples += block_length(accel_g)
+            return 0
+        rows = block.tolist()
+        n = len(rows)
+        queue = self._queue_for(stream_id, n, latest_timestamp(rows))
+        if queue is None:
+            return 0
+        queue.extend(rows)
+        return min(n, self._capacity)
+
+    def _queue_for(self, stream_id: str, n: int, t: float) -> deque | None:
+        """Both front doors' one enqueue step: the queue ``n`` new rows
+        of ``stream_id`` go into, or ``None`` when they are refused.
+
+        Refusal counts the rows: as rejected for a new stream beyond
+        ``max_streams``, as dropped for a quarantined one.  Otherwise
+        this counts them in ``samples_in``, counts the oldest rows the
+        bounded queue will shed to make room for them, and advances the
+        stream clock to ``t`` (the rows' latest timestamp) when it is
+        finite; the caller then appends the rows.  Queues only grow
+        between steps, so :meth:`step` reads their peak depth off them
+        and nothing here tracks it.
+        """
+        try:
+            queue = self._queues[stream_id]
+        except KeyError:
+            if stream_id in self._sessions:         # quarantined
+                self.dropped_samples += n
+                return None
+            try:
+                queue = self.session(stream_id).queue
+            except KeyError:
+                self.rejected_streams += n
+                return None
+        if len(queue) + n > self._capacity:
+            # Computed only when rows are shed: keeping the store off
+            # the common path measured ~4% of a per-sample submit.
+            shed = len(queue) + n - self._capacity
+            self._sessions[stream_id].dropped_samples += shed
+            self.dropped_samples += shed
+        self.samples_in += n
+        if _INF > t > self._latest_t:
             # Fleet stream clock: drives alert confirm-window expiry and
             # auto-resolve even on rounds with no detections.  A
             # non-finite timestamp is "missing" to the detector and never
-            # advances the clock the SLO windows are evaluated at.
+            # advances the clock the SLO windows are evaluated at (NaN
+            # and inf fail the comparison).
             self._latest_t = t
-        return True
+        return queue
+
+    @property
+    def _stream_now(self) -> float | None:
+        """The stream clock: the latest finite timestamp submitted, or
+        ``None`` before any sample carried one."""
+        return self._latest_t if self._latest_t > -math.inf else None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -354,9 +426,10 @@ class ServeEngine:
         """
         detections: list[tuple[str, Detection]] = []
         sessions = self._sessions.values()
-        depth = max((len(s.queue) for s in sessions), default=0)
-        self._queue_depth_gauge.set(float(max(depth, self._peak_queue_depth)))
-        self._peak_queue_depth = 0
+        # Queues only grow between steps, so their depth now is the
+        # deepest any got since the previous step.
+        self._queue_depth_gauge.set(
+            float(max((len(s.queue) for s in sessions), default=0)))
         first_round = True
         while True:
             staged = self._advance_round(detections)
@@ -369,12 +442,13 @@ class ServeEngine:
         self._queue_depth_gauge.set(
             float(max((len(s.queue) for s in sessions), default=0)))
         self.rounds += 1
-        if self._latest_t is not None:
-            self.last_round_t = self._latest_t
+        now = self._stream_now
+        if now is not None:
+            self.last_round_t = now
         if self.slo is not None:
             # Evaluate burn rates on stream time (falls back to the
             # tracker's own clock when no sample ever carried one).
-            self.slo.evaluate(now=self._latest_t)
+            self.slo.evaluate(now=now)
         if self.alerts is not None:
             self._feed_alerts(detections)
         self._sync_metrics()
@@ -487,7 +561,7 @@ class ServeEngine:
             deadline_miss=(latency_ms
                            > self.config.detector.effective_deadline_ms),
             n=n,
-            now=self._latest_t,
+            now=self._stream_now,
         )
 
     def _complete(self, session, request, prob, latency_ms, failed,
@@ -521,12 +595,14 @@ class ServeEngine:
                 health=session.health if session is not None else "healthy",
                 recorder=session.recorder if session is not None else None,
             )
-        if self._latest_t is not None:
-            self.alerts.tick(self._latest_t)
+        now = self._stream_now
+        if now is not None:
+            self.alerts.tick(now)
 
     def _quarantine(self, session, exc=None) -> None:
         session.errors += 1
         session.quarantined = True
+        self._queues.pop(session.stream_id, None)
         session.queue.clear()
         session.staged = []
         self.stream_errors += 1
@@ -613,7 +689,7 @@ class ServeEngine:
         tracking is disabled."""
         if self.slo is None:
             return None
-        report = self.slo.report(now=self._latest_t)
+        report = self.slo.report(now=self._stream_now)
         fleet = self.fleet_stages()
         if fleet is not None:
             stage_report = fleet.report()

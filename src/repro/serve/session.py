@@ -3,7 +3,9 @@
 A :class:`StreamSession` is the unit the multi-stream engine schedules:
 it owns the per-stream filter / ring-buffer / health state (a full
 :class:`~repro.core.detector.FallDetector` driven in deferred-inference
-mode), a bounded queue of flat sample rows copied at submit, and the
+mode), a bounded queue of flat ``(ax, ay, az, gx, gy, gz, t)`` float
+rows (a ``submit`` appends one, a ``submit_block`` extends it by a
+block's ``tolist()``; at capacity the oldest rows fall off), and the
 per-stream accounting the engine reports.  Sessions neither ingest nor
 run the model themselves: each round the engine drains every due
 session into one block, ingests all of them in one lane-stacked
@@ -23,7 +25,13 @@ import numpy as np
 from ..core.detector import DetectorConfig, FallDetector
 from ..obs import FlightRecorder
 
-__all__ = ["StreamSession", "sample_row"]
+__all__ = [
+    "StreamSession",
+    "block_length",
+    "latest_timestamp",
+    "sample_block",
+    "sample_row",
+]
 
 
 def sample_row(accel_g, gyro_dps, t) -> tuple | None:
@@ -46,8 +54,58 @@ def sample_row(accel_g, gyro_dps, t) -> tuple | None:
         return None
 
 
+def sample_block(accel_g, gyro_dps, t=None) -> np.ndarray | None:
+    """``n`` samples of one stream as a fresh ``(n, 7)`` float64 array of
+    ``(ax, ay, az, gx, gy, gz, t)`` rows (``t`` NaN where missing), or
+    ``None`` when the block is malformed: readings that are not ``(n,
+    3)`` numbers per sensor, sensors of different lengths, or ``t``
+    neither ``None`` nor ``n`` numbers.
+
+    The one definition of a well-formed block, for both block front
+    doors, :meth:`ServeEngine.submit_block
+    <repro.serve.ServeEngine.submit_block>` and
+    :meth:`FleetFront.submit_block <repro.fleet.FleetFront.submit_block>`.
+    A ``None`` entry of ``t`` is a missing timestamp, like NaN."""
+    try:
+        accel = np.asarray(accel_g, dtype=float)
+        gyro = np.asarray(gyro_dps, dtype=float)
+        n = len(accel)
+        t = np.full(n, math.nan) if t is None else np.asarray(t, dtype=float)
+        if accel.shape != (n, 3) or gyro.shape != (n, 3) or t.shape != (n,):
+            return None
+        return np.concatenate((accel, gyro, t[:, None]), axis=1)
+    except (TypeError, ValueError):
+        return None
+
+
+def latest_timestamp(rows) -> float:
+    """The latest finite timestamp (``row[6]``) among flat sample rows,
+    NaN when none has one.  A Python pass: for packet-sized blocks it
+    costs less than a NumPy reduction's call overhead."""
+    inf = math.inf
+    latest = -inf
+    for row in rows:
+        if inf > row[6] > latest:
+            latest = row[6]
+    return latest if latest > -inf else math.nan
+
+
+def block_length(accel_g) -> int:
+    """Rows a block offers, as a refused one counts them: the length of
+    its accelerometer readings, at least 1."""
+    try:
+        return max(len(accel_g), 1)
+    except TypeError:
+        return 1
+
+
 class StreamSession:
     """One wearable stream inside a :class:`~repro.serve.ServeEngine`.
+
+    ``queue`` holds the stream's submitted samples as flat float rows,
+    bounded at ``queue_capacity`` (the engine's) so a full queue drops
+    its oldest row; :meth:`drain_block` stacks them into one detector
+    block each round.
 
     ``quarantined`` is the engine's outermost containment: the hardened
     detector promises never to raise, but if that promise is ever broken
@@ -78,6 +136,7 @@ class StreamSession:
         per_stream_metrics: bool = True,
         flight=None,
         stage_clock=None,
+        queue_capacity: int | None = None,
     ):
         prefix = (f"{metric_prefix}/{stream_id}" if per_stream_metrics
                   else metric_prefix)
@@ -90,7 +149,9 @@ class StreamSession:
             model, config, registry=registry, metric_prefix=prefix,
             recorder=self.recorder, stage_clock=stage_clock,
         )
-        self.queue: deque = deque()
+        #: Queued rows, oldest first; appending to a full queue drops
+        #: the oldest (the engine counts it as shed).
+        self.queue: deque = deque(maxlen=queue_capacity)
         #: Requests staged by the stream's last ingest and not yet
         #: completed; the engine drains this every inference round.
         self.staged: list = []

@@ -2,6 +2,7 @@
 
 import logging
 import pathlib
+import pickle
 import sys
 import time
 import zlib
@@ -110,13 +111,16 @@ class TestBackpressure:
         )
         try:
             for i in range(25):
+                # True means "this sample is queued": shedding an older
+                # one to make room still queues the new one.
                 accepted = front.submit("only", (0, 0, 1), (0, 0, 0),
                                         t=i / DET.fs)
-                assert accepted == (i < 10)
+                assert accepted is True
             shard = front._shards[0]
             assert len(shard.pending) == 10
-            # Oldest-first: the surviving samples are the 15 freshest.
-            surviving_t = [s[3] for s in shard.pending]
+            # Oldest-first: the surviving samples are the 15 freshest
+            # (a pending sample is ``(stream_id, row)``, ``row[6]`` its t).
+            surviving_t = [row[6] for _, row in shard.pending]
             assert surviving_t == [i / DET.fs for i in range(15, 25)]
             assert front.shed_samples == 15
             front.pump()
@@ -147,6 +151,59 @@ class TestBackpressure:
             front.drain()
             front.close()
             assert front.stream_report()["s0"]["health"] == "healthy"
+        finally:
+            front.close()
+
+    def test_block_longer_than_capacity_keeps_its_freshest_rows(self):
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=1, serve=_serve_config(),
+                        queue_capacity=10),
+            registry=MetricsRegistry(),
+        )
+        try:
+            accel = np.tile([0.0, 0.0, 1.0], (25, 1))
+            t = np.arange(25) / DET.fs
+            assert front.submit("only", accel[0], np.zeros(3), -1.0)
+            assert front.submit_block("only", accel, np.zeros((25, 3)),
+                                      t) == 10
+            pending = front._shards[0].pending
+            assert [row[6] for _, row in pending] == t[15:].tolist()
+            assert front.shed_samples == 16
+            assert front.samples_in == 26
+            assert front.last_round_t is None
+            front.pump()
+            assert front.last_round_t == t[-1]
+        finally:
+            front.close()
+
+    def test_malformed_block_is_refused_whole_and_counted(self):
+        """``submit_block`` never raises: a block that is not ``(n, 3)``
+        numbers per sensor with ``n`` timestamps is refused whole, each
+        of its rows counted as dropped, and the stream keeps serving."""
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=1, serve=_serve_config()),
+            registry=MetricsRegistry(),
+        )
+        try:
+            good = np.tile([0.0, 0.0, 1.0], (4, 1))
+            bad = [(np.zeros((4, 2)), np.zeros((4, 3)), None),
+                   (good, np.zeros((5, 3)), None),
+                   (good, np.zeros((4, 3)), np.zeros(3)),
+                   ([["x", 0, 1]] * 4, np.zeros((4, 3)), None),
+                   (good, np.zeros((4, 3)), ["later"] * 4)]
+            for accel, gyro, t in bad:
+                assert front.submit_block("s0", accel, gyro, t) == 0
+            assert front.dropped_samples == 4 * len(bad)
+            assert front.samples_in == 0
+            assert not front._shards[0].pending
+            accel, gyro, t = _streams(n_streams=1, n_samples=20)["s000"]
+            assert front.submit_block("s0", accel, gyro, t) == 20
+            front.drain()
+            front.close()
+            assert front.stream_report()["s0"]["health"] == "healthy"
+            assert front.shard_reports()[0]["samples_in"] == 20
         finally:
             front.close()
 
@@ -212,6 +269,58 @@ class TestBitIdentity:
             front.close()
         assert all(len(v) > 0 for v in single.values())
         assert fleet == single  # frozen float dataclasses: bitwise equality
+
+
+    def test_fleet_block_ingress_matches_single_engine(self):
+        """Streams submitted to the fleet as blocks of random sizes (some
+        untimed) give the detections per-sample submits to one engine
+        give: the round's float64 block and its runs carry every row
+        across the pipe unchanged."""
+        streams = _streams(n_streams=5, n_samples=400)
+        scenarios = builtin_scenarios(seed=0)
+        accel, gyro, t = streams["s001"]
+        t, accel, gyro = scenarios["nan_burst"].apply_arrays(t, accel, gyro)
+        streams["s001"] = (accel, gyro, t)
+        single_engine = ServeEngine(MagnitudeProbeModel(), _serve_config(),
+                                    registry=MetricsRegistry())
+        single = _feed(single_engine, streams,
+                       lambda: single_engine.step())
+        for sid, det in single_engine.step():
+            single[sid].append(det)
+
+        rng = np.random.default_rng(1)
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=3, serve=_serve_config()),
+            registry=MetricsRegistry(),
+        )
+        fleet = {sid: [] for sid in streams}
+        try:
+            for lo in range(0, 400, HOP):
+                for sid, (accel, gyro, t) in streams.items():
+                    # Each stream's next HOP rows in 1-3 blocks; stream
+                    # s002 sends its timestamps as None.
+                    cuts = sorted({lo, lo + HOP,
+                                   *rng.integers(lo, lo + HOP, 2).tolist()})
+                    for a, b in zip(cuts, cuts[1:]):
+                        ts = None if sid == "s002" else t[a:b]
+                        assert front.submit_block(sid, accel[a:b],
+                                                  gyro[a:b], ts) == b - a
+                for sid, det in front.pump():
+                    fleet[sid].append(det)
+            for sid, det in front.drain():
+                fleet[sid].append(det)
+        finally:
+            front.close()
+        untimed = ServeEngine(MagnitudeProbeModel(), _serve_config(),
+                              registry=MetricsRegistry())
+        accel, gyro, _ = streams["s002"]
+        single["s002"] = _feed(untimed, {"s002": (accel, gyro,
+                                                  [None] * 400)},
+                               lambda: untimed.step())["s002"]
+        single["s002"] += [det for _, det in untimed.step()]
+        assert all(len(v) > 0 for v in single.values())
+        assert fleet == single
 
 
 #: Forms a caller may pass one sensor reading in.  Each holds three
@@ -340,6 +449,46 @@ class TestFailover:
         assert "repro_fleet_round_ms_bucket" in exposition
         assert check_exposition(exposition) == []
 
+    def test_killed_workers_block_round_is_redelivered(self):
+        """A worker SIGKILLed with a block round in flight never answers
+        it: the round's rows go back to the head of the shard's buffer
+        in order, and the restarted worker serves them."""
+        accel, gyro, t = _streams(n_streams=1, n_samples=400)["s000"]
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=1, serve=_serve_config(),
+                        worker_timeout_s=120.0, restart_initial_s=0.02),
+            registry=MetricsRegistry(),
+        )
+        try:
+            assert front.submit_block("s000", accel[:200], gyro[:200],
+                                      t[:200]) == 200
+            shard = front._shards[0]
+            send = shard.conn.send
+            sent = []
+
+            def kill_then_send(message):
+                shard.process.kill()
+                shard.process.join(timeout=5.0)
+                sent.append(message)
+                send(message)
+
+            shard.conn.send = kill_then_send
+            assert front.pump() == []
+            assert sent[0][0] == "round" and sent[0][4].shape == (200, 7)
+            assert front.worker_crashes == 1
+            assert front.redelivered_samples == 200
+            assert [row[6] for _, row in shard.pending] == t[:200].tolist()
+            front.submit_block("s000", accel[200:], gyro[200:], t[200:])
+            detections = front.drain()
+            report = front.close()
+        finally:
+            front.close()
+        assert report["worker_restarts"] == 1
+        assert front.shard_reports()[0]["samples_in"] == 400
+        assert set(front.stream_report()) == {"s000"}
+        assert any(d.time_s >= 2.0 for _, d in detections)
+
     def test_rehomed_detector_reports_interruption_then_recovers(self):
         # The unit-level core of degraded-then-healthy: a rebuilt session
         # seeded with note_interruption starts degraded and recovers
@@ -396,6 +545,57 @@ class TestFailover:
         front._shards[1].process.join(timeout=5.0)
         assert front.heartbeat() == [1]
         assert front.worker_crashes == 1
+
+
+class TestPipeFormat:
+    def test_round_is_one_float64_block_plus_runs(self, front):
+        """Regression guard on the fleet hop: a round carries its samples
+        as one ``(rows, 7)`` float64 array and one ``(stream, length)``
+        run per stream, never one Python object per sample."""
+        sent = []
+        for shard in front._shards:
+            def spy(message, send=shard.conn.send):
+                sent.append(message)
+                send(message)
+            shard.conn.send = spy
+        streams = _streams(n_streams=6, n_samples=4 * HOP)
+        for sid, (accel, gyro, t) in streams.items():
+            if sid == "s005":
+                front.submit_block(sid, accel, gyro, None)
+                continue
+            for i in range(len(t)):
+                front.submit(sid, accel[i], gyro[i], t[i] if i % 3 else None)
+        front.pump()
+        rounds = [m for m in sent if m[0] == "round"]
+        assert len(rounds) == 2
+        served = {}
+        for message in rounds:
+            assert len(message) == 5
+            _, _, run_sids, run_lens, block = message
+            assert type(block) is np.ndarray
+            assert block.dtype == np.float64 and block.ndim == 2
+            assert block.shape[1] == 7 and block.flags.c_contiguous
+            # One run per stream: its rows went in back to back.
+            assert sorted(run_sids) == sorted(set(run_sids))
+            assert all(type(sid) is str for sid in run_sids)
+            assert all(type(n) is int for n in run_lens)
+            assert sum(run_lens) == len(block)
+            # The raw buffer is 56 bytes a row; the runs and the framing
+            # add a few bytes per stream, not per sample.
+            assert (len(pickle.dumps(message))
+                    <= 56 * len(block) + 16 * len(run_sids) + 256)
+            for sid, lo, n in zip(run_sids, np.cumsum([0, *run_lens]),
+                                  run_lens):
+                served[sid] = block[lo:lo + n]
+        assert sorted(served) == sorted(streams)
+        for sid, (accel, gyro, t) in streams.items():
+            rows = served[sid]
+            np.testing.assert_array_equal(rows[:, :3], accel)
+            np.testing.assert_array_equal(rows[:, 3:6], gyro)
+            missing = (np.ones(len(t), bool) if sid == "s005"
+                       else np.arange(len(t)) % 3 == 0)
+            assert np.isnan(rows[missing, 6]).all()
+            np.testing.assert_array_equal(rows[~missing, 6], t[~missing])
 
 
 class _SpanningProbe(MagnitudeProbeModel):

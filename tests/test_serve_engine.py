@@ -19,8 +19,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.detector import DetectorConfig
+from repro.experiments import MagnitudeProbeModel
 from repro.faults import synth_stream
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
@@ -334,3 +337,144 @@ def test_engine_report_shape():
     assert report["samples_in"] == 200
     assert report["windows_inferred"] > 0
     assert report["batch_size"]["count"] == report["batches"]
+
+
+# ----------------------------------------------------------------------
+# submit_block: the block front door
+# ----------------------------------------------------------------------
+def _block_streams():
+    """Two synthetic streams (stream 0 carries a fall) and one with a NaN
+    burst and a timestamp gap, so repair and gap handling cross the
+    block door too."""
+    streams = _bench_streams([0, 3])
+    streams["bad"] = _faulted_stream(9)
+    return streams
+
+
+def _serve_rounds(engine, streams, cuts, *, blocks, untimed):
+    """Feed each stream's rounds (``cuts[sid]`` are its row boundaries)
+    round-robin, one ``step`` per round.  ``blocks`` submits a round's
+    rows as one ``submit_block``, else row by row through ``submit``;
+    the rows in ``untimed`` carry no timestamp (``None``).  Returns the
+    detections, per-stream health reports and the engine counters."""
+    detections = {sid: [] for sid in streams}
+    for r in range(max(len(c) for c in cuts.values()) - 1):
+        for sid, (accel, gyro, t) in streams.items():
+            if r + 1 >= len(cuts[sid]):
+                continue
+            lo, hi = cuts[sid][r], cuts[sid][r + 1]
+            ts = [None if i in untimed else float(t[i])
+                  for i in range(lo, hi)]
+            if blocks:
+                assert engine.submit_block(sid, accel[lo:hi], gyro[lo:hi],
+                                           ts) == hi - lo
+            else:
+                for i, ti in zip(range(lo, hi), ts):
+                    assert engine.submit(sid, accel[i], gyro[i], ti)
+        for sid, hit in engine.step():
+            detections[sid].append(hit)
+    health = {sid: engine.session(sid).detector.health_report()
+              for sid in streams}
+    counters = (engine.samples_in, engine.dropped_samples,
+                engine.last_round_t)
+    return detections, health, counters
+
+
+@st.composite
+def _splits(draw):
+    """Per-stream row boundaries of a 200-sample stream (empty blocks
+    included) and a set of untimed rows."""
+    cuts = {}
+    for sid in ("s0", "s3", "bad"):
+        inner = draw(st.lists(st.integers(0, 200), max_size=12))
+        cuts[sid] = [0, *sorted(inner), 200]
+    untimed = draw(st.sets(st.integers(0, 199), max_size=8))
+    return cuts, untimed
+
+
+@settings(max_examples=15, deadline=None)
+@given(_splits())
+def test_block_splits_match_per_sample_submits(split):
+    """Any split of the streams into ``submit_block`` calls yields what
+    the same samples submitted one by one do, byte for byte: detections,
+    detector health and the engine's counters and clock."""
+    cuts, untimed = split
+    streams = _block_streams()
+    model = MagnitudeProbeModel()
+    by_sample = _serve_rounds(_engine(model), streams, cuts, blocks=False,
+                              untimed=untimed)
+    by_block = _serve_rounds(_engine(model), streams, cuts, blocks=True,
+                             untimed=untimed)
+    assert by_block == by_sample
+    assert any(by_sample[0].values())
+
+
+#: Malformed blocks, each with the rows its refusal counts: the length
+#: of its accelerometer readings, at least 1.
+MALFORMED_BLOCKS = {
+    "accel (4, 2)": (np.zeros((4, 2)), np.zeros((4, 3)), None, 4),
+    "accel (3,)": (np.zeros(3), np.zeros(3), None, 3),
+    "lengths differ": (np.zeros((4, 3)), np.zeros((5, 3)), None, 4),
+    "t too short": (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros(3), 4),
+    "non-numeric": ([["x", 0, 1]] * 4, np.zeros((4, 3)), None, 4),
+    "non-numeric t": (np.zeros((4, 3)), np.zeros((4, 3)), ["a"] * 4, 4),
+    "ragged": ([[0, 0, 1], [0, 1]], np.zeros((2, 3)), None, 2),
+    "no readings": (None, np.zeros((4, 3)), None, 1),
+}
+
+
+@pytest.mark.parametrize("form", list(MALFORMED_BLOCKS))
+def test_malformed_block_is_refused_whole_and_counted(form):
+    """A malformed block never raises and queues nothing: it is dropped
+    whole (each row it offers counted) and the stream keeps serving."""
+    accel, gyro, t, rows = MALFORMED_BLOCKS[form]
+    engine = _engine(_ConstantModel())
+    assert engine.submit_block("s", accel, gyro, t) == 0
+    assert engine.dropped_samples == rows
+    assert engine.samples_in == 0
+    good_accel, good_gyro, good_t = _bench_streams([0])["s0"]
+    assert engine.submit_block("s", good_accel[:20], good_gyro[:20],
+                               good_t[:20]) == 20
+    engine.step()
+    assert engine.stream_report()["s"]["health"] == "healthy"
+    assert engine.session("s").detector.samples_seen == 20
+
+
+def test_block_longer_than_capacity_keeps_its_freshest_rows():
+    engine = _engine(_ConstantModel(), queue_capacity=4)
+    accel = np.tile([0.0, 0.0, 1.0], (10, 1))
+    gyro = np.zeros((10, 3))
+    t = np.arange(10) / 100.0
+    assert engine.submit("s0", accel[0], gyro[0], 0.5) is True
+    assert engine.submit_block("s0", accel, gyro, t) == 4
+    session = engine.session("s0")
+    assert [row[6] for row in session.queue] == pytest.approx(t[6:])
+    # The row queued before the block and the block's 6 oldest are shed.
+    assert session.dropped_samples == engine.dropped_samples == 7
+    assert engine.samples_in == 11
+
+
+@pytest.mark.parametrize("missing", [np.nan, None])
+def test_missing_block_timestamps_never_advance_the_clock(missing):
+    """NaN or ``None`` timestamps are missing ones: a block of them
+    leaves the stream clock alone, and a mixed block moves it to its
+    latest finite timestamp, wherever that sits in the block (and
+    whatever infinite one it holds too)."""
+    engine = _engine(_ConstantModel())
+    accel = np.tile([0.0, 0.0, 1.0], (3, 1))
+    gyro = np.zeros((3, 3))
+    assert engine.submit_block("s", accel, gyro, [missing] * 3) == 3
+    assert engine.submit_block("s", accel, gyro, None) == 3
+    engine.step()
+    assert engine.last_round_t is None
+    assert engine.submit_block("s", accel, gyro,
+                               [0.25, missing, np.inf]) == 3
+    engine.step()
+    assert engine.last_round_t == 0.25
+    assert engine.submit_block("s", accel, gyro, [missing, 0.1, 0.2]) == 3
+    engine.step()
+    assert engine.last_round_t == 0.25
+    # The clock is the latest timestamp seen, not the block's last one.
+    assert engine.submit_block("s", accel, gyro, [0.5, 0.3, missing]) == 3
+    engine.step()
+    assert engine.last_round_t == 0.5
