@@ -8,8 +8,8 @@ fleet-wide :class:`~repro.alerts.AlertManager`, and ``fleet/*`` metrics.
 Routing & determinism
     ``crc32(stream_id) % n_shards`` — stable across processes and runs.
     Each ``pump()`` dispatches every shard's buffered samples as one
-    *round* — one ``(rows, 7)`` float64 array plus its per-stream runs
-    (see :mod:`repro.fleet.worker`) — so all shards compute
+    *round* — one ``(rows, 7)`` float64 array holding one run of rows
+    per stream (see :mod:`repro.fleet.worker`) — so all shards compute
     concurrently, then collects replies in shard order.  Worker engines
     batch under ``batch_invariant``, so a stream's detections are
     bitwise independent of which siblings share its shard — an N-shard
@@ -17,23 +17,28 @@ Routing & determinism
     ``tests/test_fleet.py``).
 
 Backpressure
-    Per-shard ingest buffers are bounded by ``queue_capacity``; overload
-    sheds the *oldest* sample (freshest data wins, as everywhere else in
-    the serve path) and counts it on ``fleet/shed_samples``.  ``submit``
-    never raises into the caller.
+    The front buffers each stream on its own, under the engine's rule:
+    ``serve.queue_capacity`` rows, the *oldest* shed first (freshest
+    data wins, as everywhere else in the serve path) and counted on
+    ``fleet/shed_samples``, so a bursting stream sheds only its own rows
+    and a pump cadence sheds exactly what a single engine's step cadence
+    would.  A shard admits at most ``serve.max_streams`` streams, as its
+    engine does; the front refuses the rest and counts their samples in
+    ``dropped_samples``.  ``submit`` never raises into the caller.
 
 Supervision & failover
     Every pump doubles as a heartbeat: a worker that crashed (dead
     process / broken pipe) or hangs past ``worker_timeout_s`` is killed
     and scheduled for restart on a bounded deterministic
-    :class:`~repro.utils.Backoff`.  Its in-flight batch is *redelivered*
+    :class:`~repro.utils.Backoff`.  Its in-flight round is *redelivered*
     — the reply never arrived, so no detection can double-fire — and its
     streams are re-homed onto the restarted worker, each session rebuilt
     from recorded config with
-    :meth:`~repro.core.detector.FallDetector.note_interruption`, so
-    re-homed streams re-prime and report degraded-then-healthy.  A shard
-    that exhausts its restart budget is failed permanently and its
-    streams evacuate to the surviving shards.
+    :meth:`~repro.core.detector.FallDetector.note_interruption` at the
+    last timestamp a worker acknowledged for it, so re-homed streams
+    re-prime and report degraded-then-healthy.  A shard that exhausts
+    its restart budget is failed permanently and its streams, buffers
+    included, evacuate to the surviving shards.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ _logger = get_logger(__name__)
 #: Round-trip latency buckets (ms): same edges as the serve engine's
 #: batch latency, so fleet and shard histograms merge exactly.
 _ROUND_BUCKETS_MS = tuple(0.01 * 2 ** i for i in range(23))
+_INF = math.inf
 
 
 def _default_serve() -> ServeConfig:
@@ -85,15 +91,14 @@ def _default_serve() -> ServeConfig:
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Topology, backpressure and supervision knobs for one fleet."""
+    """Topology and supervision knobs for one fleet."""
 
     #: Worker process count; streams hash onto shards by crc32.
     n_shards: int = 4
     #: Per-worker engine configuration (detector, batching, quarantine).
+    #: Its ``queue_capacity`` also bounds each stream's front-side
+    #: buffer, and its ``max_streams`` caps the streams a shard admits.
     serve: ServeConfig = field(default_factory=_default_serve)
-    #: Bound on each shard's front-side ingest buffer, in samples;
-    #: overflow sheds oldest-first and counts ``fleet/shed_samples``.
-    queue_capacity: int = 4096
     #: A dispatched round unanswered for this long marks the shard hung.
     worker_timeout_s: float = 10.0
     #: Idle shards (no buffered samples) still get an empty heartbeat
@@ -116,61 +121,48 @@ class FleetConfig:
     def __post_init__(self):
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
         if self.worker_timeout_s <= 0:
             raise ValueError("worker_timeout_s must be positive")
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
 
 
-def _round_message(seq: int, batch: list) -> tuple:
+def _round_message(seq: int, runs: list) -> tuple:
     """One shard round on the wire: ``("round", seq, run_sids, run_lens,
-    block)``.  ``block`` stacks the buffered ``(stream_id, row)``
-    samples' rows, in order, into one ``(rows, 7)`` float64 array (a raw
-    buffer that pickles at 8 bytes a value and round-trips float64
-    exactly — the bit-identity proof depends on the pipe being
-    lossless); consecutive rows of one stream form one run, named once
-    in ``run_sids`` with its row count in ``run_lens``."""
-    run_sids: list = []
-    run_lens: list = []
-    last = None
-    for stream_id, _ in batch:
-        if stream_id == last:
-            run_lens[-1] += 1
-        else:
-            run_sids.append(stream_id)
-            run_lens.append(1)
-            last = stream_id
-    block = np.fromiter(chain.from_iterable(row for _, row in batch),
-                        float, 7 * len(batch)).reshape(-1, 7)
-    return ("round", seq, run_sids, run_lens, block)
+    block)``.  ``runs`` are ``(stream_id, buffer)`` pairs; ``block``
+    stacks their rows, one run per stream, into one ``(rows, 7)``
+    float64 array (a raw buffer that pickles at 8 bytes a value and
+    round-trips float64 exactly — the bit-identity proof depends on the
+    pipe being lossless), each run named once in ``run_sids`` with its
+    row count in ``run_lens``."""
+    run_lens = [len(queue) for _, queue in runs]
+    rows = chain.from_iterable(chain.from_iterable(q for _, q in runs))
+    block = np.fromiter(rows, float, 7 * sum(run_lens)).reshape(-1, 7)
+    return ("round", seq, [sid for sid, _ in runs], run_lens, block)
 
 
 class _Shard:
     """Mutable per-shard supervisor state (process handle + buffers).
 
-    ``pending`` buffers the shard's next round as ``(stream_id, row)``
-    samples, ``row`` a flat ``(ax, ay, az, gx, gy, gz, t)`` of floats
-    (``t`` NaN when missing); ``inflight`` holds the last dispatched
-    round's samples until its reply arrives."""
+    ``queues`` maps every stream homed here to its buffer of flat
+    ``(ax, ay, az, gx, gy, gz, t)`` float rows (``t`` NaN when missing),
+    bounded like the engine's session queues; ``inflight`` holds the
+    last dispatched round's message until its reply arrives."""
 
-    __slots__ = ("index", "process", "conn", "pending", "inflight",
-                 "backoff", "restart_at", "seq", "failed", "last_reply",
-                 "last_stats")
+    __slots__ = ("index", "process", "conn", "queues", "inflight",
+                 "backoff", "restart_at", "seq", "failed", "last_reply")
 
     def __init__(self, index: int, backoff: Backoff):
         self.index = index
         self.process = None
         self.conn = None
-        self.pending: deque = deque()
-        self.inflight: list = []
+        self.queues: dict[str, deque] = {}
+        self.inflight: tuple | None = None
         self.backoff = backoff
         self.restart_at: float | None = None
         self.seq = 0
         self.failed = False
         self.last_reply = 0.0
-        self.last_stats: dict = {}
 
     @property
     def up(self) -> bool:
@@ -202,15 +194,20 @@ class FleetFront:
             "fork" if "fork" in methods else "spawn")
         self._ship_trace = tracing_enabled()
         cfg = self.config
-        self._home: dict[str, int] = {}
-        self._last_t: dict[str, float] = {}
+        self._capacity = cfg.serve.queue_capacity
+        # The buffer of every homed stream (also in its shard's
+        # ``queues``): one lookup finds where a submit goes.
+        self._queues: dict[str, deque] = {}
+        # Each stream's latest finite timestamp in a round a worker
+        # acknowledged: where a rebuilt session's clock resumes.
+        self._acked_t: dict[str, float] = {}
         self._health: dict[str, str] = {}
         # Hot-path totals as plain ints, synced to registry counters once
         # per pump — the same discipline as ServeEngine.
         self.samples_in = 0
         self.shed_samples = 0
         #: Samples not accepted: refused as malformed, or for a stream
-        #: with no surviving shard to serve it.
+        #: no shard will home (see :meth:`shard_for`).
         self.dropped_samples = 0
         self.redelivered_samples = 0
         self.rounds = 0
@@ -230,7 +227,8 @@ class FleetFront:
         self._depth_gauge = self.registry.gauge("fleet/queue_depth")
         self.alerts = (AlertManager(cfg.alerts, registry=self.registry)
                        if cfg.alerts is not None else None)
-        self._latest_t: float | None = None
+        # Latest finite timestamp any sample carried (-inf before one).
+        self._latest_t = -_INF
         #: Stream time of the latest completed pump — the liveness stamp
         #: ``/healthz`` reports (mirrors ``ServeEngine.last_round_t``).
         self.last_round_t: float | None = None
@@ -253,41 +251,40 @@ class FleetFront:
     # routing & ingestion
     # ------------------------------------------------------------------
     def shard_for(self, stream_id: str) -> int | None:
-        """The shard currently homing ``stream_id`` (assigns on first
-        sight; ``None`` only when every shard has failed permanently)."""
-        home = self._home.get(stream_id)
-        if home is not None and not self._shards[home].failed:
-            return home
-        candidates = [s.index for s in self._shards if not s.failed]
+        """The shard homing ``stream_id``, which is admitted on first
+        sight: crc32 over the surviving shards picks its home, and a home
+        that already holds ``serve.max_streams`` streams refuses it, as
+        its engine would.  ``None`` when the stream is refused or every
+        shard has failed permanently."""
+        if stream_id in self._queues:
+            return next(s.index for s in self._shards
+                        if stream_id in s.queues)
+        candidates = [s for s in self._shards if not s.failed]
         if not candidates:
             return None
-        digest = zlib.crc32(stream_id.encode("utf-8"))
-        home = candidates[digest % len(candidates)]
-        self._home[stream_id] = home
-        return home
+        home = candidates[zlib.crc32(stream_id.encode("utf-8"))
+                          % len(candidates)]
+        if len(home.queues) >= self.config.serve.max_streams:
+            return None
+        home.queues[stream_id] = self._queues[stream_id] = deque(
+            maxlen=self._capacity)
+        return home.index
 
     def submit(self, stream_id: str, accel_g, gyro_dps,
                t: float | None = None) -> bool:
-        """Buffer one sample for its shard; True when it is queued, False
-        when it is refused.
+        """Buffer one sample; True when it is queued, False when it is
+        refused.
 
-        Never raises into the caller: a full shard buffer sheds its
-        *oldest* sample to make room (the new one is still queued, the
-        shed one counted in ``shed_samples``), while a fleet with no
-        surviving shards drops the sample, and a malformed one (not three
-        numeric readings per sensor, or a non-numeric timestamp) is
-        refused — both counted in ``dropped_samples``.
+        Never raises into the caller: a full stream buffer sheds its
+        *oldest* sample to make room (counted in ``shed_samples``), while
+        a malformed sample (not three numeric readings per sensor, or a
+        non-numeric timestamp) and one for a stream no shard will home
+        are refused and counted in ``dropped_samples``.
         """
-        home = self.shard_for(stream_id)
-        if home is None:
-            self.dropped_samples += 1
-            return False
         # The engine's cheap path: ``tolist`` on the (3,) float ndarrays
         # callers pass copies the readings out as Python floats.  Any
         # other shape or dtype goes through sample_row, the engine's
-        # definition of a well-formed sample — the front must refuse a
-        # malformed one here, since the pump packs every buffered row
-        # into one float64 array.
+        # definition of a well-formed sample.
         try:
             if accel_g.dtype.kind != "f" or gyro_dps.dtype.kind != "f":
                 raise TypeError("not float readings")
@@ -303,112 +300,106 @@ class FleetFront:
                 self.dropped_samples += 1
                 return False
             t = row[6]
-        self._enqueue(stream_id, home, ((stream_id, row),), t)
+        queue = self._queue_for(stream_id, 1, t)
+        if queue is None:
+            return False
+        queue.append(row)
         return True
 
     def submit_block(self, stream_id: str, accel_g, gyro_dps,
                      t=None) -> int:
-        """Buffer ``n`` samples of one stream for its shard (shaped as for
+        """Buffer ``n`` samples of one stream (shaped as for
         :meth:`ServeEngine.submit_block
         <repro.serve.ServeEngine.submit_block>`); returns how many of
-        them are queued.
-
-        Never raises: a block longer than ``queue_capacity`` keeps its
-        freshest rows, and a malformed block
-        (:func:`~repro.serve.session.sample_block`) or one for a fleet
-        with no surviving shard is refused whole, every row counted in
+        them are queued.  Never raises: a block longer than
+        ``serve.queue_capacity`` keeps its freshest rows, and a malformed
+        block (:func:`~repro.serve.session.sample_block`) or one for a
+        stream no shard will home is refused whole, every row counted in
         ``dropped_samples``.
         """
         block = sample_block(accel_g, gyro_dps, t)
         if block is None:
             self.dropped_samples += block_length(accel_g)
             return 0
-        home = self.shard_for(stream_id)
-        if home is None:
-            self.dropped_samples += len(block)
-            return 0
         rows = block.tolist()
-        self._enqueue(stream_id, home, [(stream_id, row) for row in rows],
-                      latest_timestamp(rows))
-        return min(len(rows), self.config.queue_capacity)
+        queue = self._queue_for(stream_id, len(rows), latest_timestamp(rows))
+        if queue is None:
+            return 0
+        queue.extend(rows)
+        return min(len(rows), self._capacity)
 
-    def _enqueue(self, stream_id: str, home: int, samples, t: float) -> None:
-        """Both front doors' one buffering step: append ``(stream_id,
-        row)`` samples to the shard's buffer, shed its oldest beyond
-        ``queue_capacity``, count ``samples_in`` and advance the stream
-        and fleet clocks to ``t`` (the samples' latest timestamp) when it
-        is finite."""
-        pending = self._shards[home].pending
-        pending.extend(samples)
-        shed = len(pending) - self.config.queue_capacity
-        if shed > 0:
-            self.shed_samples += shed
-            for _ in range(shed):
-                pending.popleft()
-        self.samples_in += len(samples)
-        if math.isfinite(t):
-            # Non-finite timestamps are missing ones: they advance neither
-            # the failover clock nor the fleet's stream clock.
-            self._last_t[stream_id] = t
-            if self._latest_t is None or t > self._latest_t:
-                self._latest_t = t
+    def _queue_for(self, stream_id: str, n: int, t: float) -> deque | None:
+        """Both front doors' one buffering step, the engine's
+        ``_queue_for`` rule: the buffer ``n`` new rows of ``stream_id`` go
+        into (counting them, the rows it will shed for them, and the
+        fleet clock's advance to their latest timestamp ``t``), or
+        ``None`` when no shard will home the stream (rows dropped)."""
+        queue = self._queues.get(stream_id)
+        if queue is None:
+            if self.shard_for(stream_id) is None:
+                self.dropped_samples += n
+                return None
+            queue = self._queues[stream_id]
+        if len(queue) + n > self._capacity:
+            self.shed_samples += len(queue) + n - self._capacity
+        self.samples_in += n
+        if _INF > t > self._latest_t:   # NaN and inf are missing times
+            self._latest_t = t
+        return queue
 
     # ------------------------------------------------------------------
     # the supervisor/pump loop
     # ------------------------------------------------------------------
     def pump(self) -> list[tuple[str, Detection]]:
         """One fleet round: restart due shards, dispatch every shard's
-        buffered samples, collect replies, feed alerts.
-
-        Doubles as the supervisor heartbeat — crashed or hung shards are
-        detected here, their in-flight batch is re-queued for
-        redelivery, and their restart is scheduled on the backoff.
-        Returns ``(stream_id, detection)`` pairs, shards in index order.
-        """
+        buffered samples, collect replies, feed alerts.  Doubles as the
+        supervisor heartbeat — crashed or hung shards are detected here,
+        their in-flight round is re-queued for redelivery, and their
+        restart is scheduled on the backoff.  Returns ``(stream_id,
+        detection)`` pairs, shards in index order."""
         now = time.monotonic()
         self._restart_due(now)
         detections: list[tuple[str, Detection]] = []
-        depth = max((len(s.pending) for s in self._shards), default=0)
+        depth = max(map(len, self._queues.values()), default=0)
         self.max_queue_depth = max(self.max_queue_depth, depth)
         self._depth_gauge.set(float(depth))
         dispatched: list[tuple[_Shard, float]] = []
         for shard in self._shards:
             if not shard.up:
                 continue
-            if (not shard.pending
-                    and now - shard.last_reply
+            runs = [(sid, queue) for sid, queue in shard.queues.items()
+                    if queue]
+            if (not runs and now - shard.last_reply
                     < self.config.heartbeat_interval_s):
                 continue  # idle and recently alive: skip the empty round
-            batch = list(shard.pending)
-            shard.pending.clear()
+            shard.inflight = _round_message(shard.seq, runs)
+            for _, queue in runs:
+                queue.clear()
             try:
-                shard.conn.send(_round_message(shard.seq, batch))
+                shard.conn.send(shard.inflight)
             except (OSError, ValueError):
                 self.send_errors += 1
-                self._requeue(shard, batch)
+                self._requeue(shard)
                 self._mark_down(shard, crashed=True)
                 continue
-            shard.inflight = batch
             shard.seq += 1
             dispatched.append((shard, time.perf_counter()))
         for shard, t0 in dispatched:
             reply, timed_out = self._recv(shard)
             if reply is None or reply[0] != "ok":
-                self._requeue(shard, shard.inflight)
+                self._requeue(shard)
                 self._mark_down(shard, crashed=not timed_out)
                 continue
             self._round_hist.observe(1000.0 * (time.perf_counter() - t0))
-            shard.inflight = []
+            self._acknowledge(shard)
             shard.last_reply = time.monotonic()
             shard.backoff.reset()
-            _, _, results, stats = reply
-            shard.last_stats = stats
-            for stream_id, detection, health in results:
+            for stream_id, detection, health in reply[2]:
                 self.detections += 1
                 self._health[stream_id] = health
                 detections.append((stream_id, detection))
         self.rounds += 1
-        if self._latest_t is not None:
+        if self._latest_t > -_INF:
             self.last_round_t = self._latest_t
         if self.alerts is not None:
             self._feed_alerts(detections)
@@ -426,7 +417,7 @@ class FleetFront:
         detections: list[tuple[str, Detection]] = []
         for _ in range(max_rounds):
             detections.extend(self.pump())
-            holders = [s for s in self._shards if s.pending and not s.failed]
+            holders = [s for s in self._shards if any(s.queues.values())]
             if not holders:
                 break
             if not any(s.up for s in holders):
@@ -489,19 +480,36 @@ class FleetFront:
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
-    def _requeue(self, shard: _Shard, batch: list) -> None:
-        """Redeliver an unacknowledged batch: its reply never arrived, so
-        no detection from it was consumed — re-processing on the rebuilt
-        sessions cannot double-fire."""
-        if not batch:
-            shard.inflight = []
-            return
-        shard.pending.extendleft(reversed(batch))
-        self.redelivered_samples += len(batch)
-        while len(shard.pending) > self.config.queue_capacity:
-            shard.pending.popleft()
-            self.shed_samples += 1
-        shard.inflight = []
+    def _acknowledge(self, shard: _Shard) -> None:
+        """The shard answered its in-flight round: record each stream's
+        latest finite timestamp in it, where a rebuilt session resumes."""
+        _, _, run_sids, run_lens, block = shard.inflight
+        shard.inflight = None
+        if run_sids:
+            t = np.where(np.isfinite(block[:, 6]), block[:, 6], -_INF)
+            latest = np.maximum.reduceat(t, np.cumsum(run_lens) - run_lens)
+            self._acked_t.update((sid, last_t) for sid, last_t
+                                 in zip(run_sids, latest.tolist())
+                                 if last_t > -_INF)
+
+    def _requeue(self, shard: _Shard) -> None:
+        """Redeliver the unacknowledged in-flight round (no detection from
+        it was consumed, so re-processing cannot double-fire): each run
+        goes back into its stream's buffer, which the round emptied and
+        no submit reaches before the pump returns, so nothing sheds."""
+        _, _, run_sids, run_lens, block = shard.inflight
+        shard.inflight = None
+        rows = block.tolist()
+        self.redelivered_samples += len(rows)
+        lo = 0
+        for stream_id, n in zip(run_sids, run_lens):
+            shard.queues[stream_id].extend(rows[lo:lo + n])
+            lo += n
+
+    def _resume_clocks(self, stream_ids) -> dict:
+        """``stream_id -> last acknowledged timestamp`` (or ``None``): the
+        clocks a worker seeds re-homed streams' rebuilt sessions with."""
+        return {sid: self._acked_t.get(sid) for sid in stream_ids}
 
     def _mark_down(self, shard: _Shard, *, crashed: bool) -> None:
         if crashed:
@@ -537,45 +545,34 @@ class FleetFront:
             )
 
     def _evacuate(self, shard: _Shard) -> None:
-        """Move a permanently failed shard's streams and buffered samples
-        to the survivors (rebuilt sessions marked interrupted)."""
-        victims = [sid for sid, home in self._home.items()
-                   if home == shard.index]
-        adopted: dict[int, dict] = {}
-        for stream_id in victims:
-            del self._home[stream_id]
-            new_home = self.shard_for(stream_id)
-            if new_home is None:
-                continue  # nowhere left; future submits count as dropped
-            adopted.setdefault(new_home, {})[stream_id] = (
-                self._last_t.get(stream_id))
+        """Move a permanently failed shard's streams, buffers included, to
+        the survivors (rebuilt sessions marked interrupted)."""
+        victims, shard.queues = shard.queues, {}
+        adopted: dict[int, list] = {}
+        for stream_id, rows in victims.items():
+            del self._queues[stream_id]
+            home = self.shard_for(stream_id)
+            if home is None:  # nowhere left: dropped, like later submits
+                self.dropped_samples += len(rows)
+                continue
+            self._queues[stream_id].extend(rows)
+            adopted.setdefault(home, []).append(stream_id)
             self.rehomed_streams += 1
-        for index, streams in adopted.items():
+        for index, stream_ids in adopted.items():
             target = self._shards[index]
+            if not target.up:
+                continue  # its restart adopts its whole roster
             try:
-                target.conn.send(("adopt", streams))
+                target.conn.send(("adopt", self._resume_clocks(stream_ids)))
             except (OSError, ValueError):
                 self.send_errors += 1
-        for sample in shard.pending:
-            home = self._home.get(sample[0])
-            if home is None:
-                self.dropped_samples += 1
-                continue
-            target = self._shards[home]
-            if len(target.pending) >= self.config.queue_capacity:
-                target.pending.popleft()
-                self.shed_samples += 1
-            target.pending.append(sample)
-        shard.pending.clear()
 
     def _restart_due(self, now: float) -> None:
         for shard in self._shards:
             if (shard.up or shard.failed or shard.restart_at is None
                     or now < shard.restart_at):
                 continue
-            streams = {sid: self._last_t.get(sid)
-                       for sid, home in self._home.items()
-                       if home == shard.index}
+            streams = self._resume_clocks(shard.queues)
             self._spawn(shard, streams)
             self.worker_restarts += 1
             self.rehomed_streams += len(streams)
@@ -633,12 +630,12 @@ class FleetFront:
                 source=detection.source,
                 health=self._health.get(stream_id, "healthy"),
             )
-        if self._latest_t is not None:
+        if self._latest_t > -_INF:
             self.alerts.tick(self._latest_t)
 
     def _sync_metrics(self) -> None:
         self._shards_gauge.set(float(sum(s.up for s in self._shards)))
-        self._streams_gauge.set(float(len(self._home)))
+        self._streams_gauge.set(float(len(self._queues)))
         for name in ("samples_in", "shed_samples", "dropped_samples",
                      "redelivered_samples", "rounds", "detections",
                      "worker_crashes", "worker_timeouts", "worker_restarts",
@@ -659,7 +656,7 @@ class FleetFront:
 
     @property
     def stream_ids(self) -> list[str]:
-        return list(self._home)
+        return list(self._queues)
 
     def fleet_latency(self) -> Histogram:
         """Per-window latency merged across every stopped worker (exact
@@ -706,7 +703,7 @@ class FleetFront:
         out = {
             "shards": self.config.n_shards,
             "shards_live": len(self.live_shards),
-            "streams": len(self._home),
+            "streams": len(self._queues),
             "samples_in": self.samples_in,
             "shed_samples": self.shed_samples,
             "dropped_samples": self.dropped_samples,

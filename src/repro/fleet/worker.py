@@ -7,9 +7,11 @@ and drives it through a synchronous message loop over a duplex pipe:
 ``("round", seq, run_sids, run_lens, block)``
     ``block`` is the round's samples as one ``(rows, 7)`` float64 array
     of ``(ax, ay, az, gx, gy, gz, t)`` rows (``t`` NaN when missing),
-    cut into runs of consecutive rows of one stream: run ``i`` is the
-    next ``run_lens[i]`` rows, of stream ``run_sids[i]``.  Hand each
-    run's slice to ``engine.submit_block``, run one ``engine.step()``,
+    one run per stream, each no longer than the engine's
+    ``queue_capacity`` (the front buffers every stream under that
+    bound): run ``i`` is the next ``run_lens[i]`` rows, of stream
+    ``run_sids[i]``.  Hand each run's slice to ``engine.submit_block``,
+    run one ``engine.step()``,
     reply ``("ok", seq, results, stats)`` where
     ``results`` is ``[(stream_id, Detection, health), ...]`` —
     detections are frozen dataclasses of floats, so they pickle back to

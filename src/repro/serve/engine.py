@@ -92,10 +92,6 @@ class ServeConfig:
     #: Hard cap on concurrent sessions; submits for new streams beyond it
     #: are rejected (and counted) instead of growing without bound.
     max_streams: int = 4096
-    #: Run batched forwards under :func:`repro.nn.batch_invariant` so
-    #: results are independent of batch composition.  Disable only when
-    #: last-ulp reproducibility matters less than raw BLAS throughput.
-    batch_invariant: bool = True
     metric_prefix: str = "serve"
     #: Give each stream its own metric namespace
     #: (``<prefix>/stream/<id>/...``).  Disable to share one namespace
@@ -297,21 +293,23 @@ class ServeEngine:
     def submit(self, stream_id: str, accel_g, gyro_dps,
                t: float | None = None) -> bool:
         """Enqueue one sample; True when it is queued, False when it is
-        refused (a stream beyond ``max_streams``, or a quarantined one).
+        refused (a malformed sample, a stream beyond ``max_streams``, or
+        a quarantined one).
 
         Never raises on load: an unknown stream beyond ``max_streams`` is
         rejected and counted, a full queue sheds its *oldest* sample to
         make room (the new one is still queued), and a quarantined
         stream's samples are dropped.  The sample is copied into the
         queue, so a caller may reuse its buffers at once.  Nor does it
-        raise on a malformed sample: that is queued as such, and the
-        stream is quarantined when it is drained.
+        raise on a malformed sample (not three numeric readings per
+        sensor, or a non-numeric timestamp): that is refused and counted
+        in ``dropped_samples``, and the stream keeps serving.
         """
         # Copy the readings into one flat row of floats, so a caller may
         # reuse its buffers: ``tolist`` on the (3,) ndarrays callers
         # pass is the cheap path; any other shape or type goes through
         # sample_row, the one definition of a well-formed sample, which
-        # turns a malformed one into None, refused at drain.  ``tolist``
+        # turns a malformed one into None, refused here.  ``tolist``
         # nests a list per row for an array of two or more dimensions,
         # and testing the first reading for one is cheaper than ``ndim``.
         try:
@@ -323,7 +321,10 @@ class ServeEngine:
             row = (ax, ay, az, gx, gy, gz, t)
         except Exception:
             row = sample_row(accel_g, gyro_dps, t)
-            t = row[6] if row is not None else math.nan
+            if row is None:
+                self.dropped_samples += 1
+                return False
+            t = row[6]
         queue = self._queue_for(stream_id, 1, t)
         if queue is None:
             return False
@@ -343,8 +344,8 @@ class ServeEngine:
         block longer than ``queue_capacity`` keeps its freshest rows
         (and sheds everything queued before it), and a refused block
         returns 0, every row counted — rejected for a new stream beyond
-        ``max_streams``, dropped for a quarantined stream, and, unlike
-        :meth:`submit`, dropped whole when it is malformed (see
+        ``max_streams``, dropped for a quarantined stream, and dropped
+        whole when it is malformed (see
         :func:`~repro.serve.session.sample_block`).
         """
         block = sample_block(accel_g, gyro_dps, t)
@@ -409,7 +410,8 @@ class ServeEngine:
     # scheduling
     # ------------------------------------------------------------------
     def step(self) -> list[tuple[str, Detection]]:
-        """Drain every queue and run the due windows in micro-batches.
+        """Run one round: drain every queue, then infer the due windows
+        in one micro-batch.
 
         Each due session's whole queue is drained as one block, and all
         of the round's blocks go through one
@@ -417,30 +419,21 @@ class ServeEngine:
         one ingest path): same-length blocks fuse, filter and run their
         clean-block checks as one lane-stacked pass, and a session whose
         lane raises is quarantined alone.  Then one batched forward runs
-        for all staged windows across streams; rounds repeat until every
-        queue is empty.  The queue-depth gauge reports the
-        deepest any stream's queue got since the previous step (burst
-        peaks included), then settles to the post-drain depth so tail
-        readers see steady-state 0 between bursts.  Returns
-        ``(stream_id, detection)`` pairs in processing order.
+        for all staged windows across streams (an empty one when none
+        came due).  Nothing enqueues during a step, so every queue is
+        empty after it.  The queue-depth gauge reports the deepest any
+        stream's queue got since the previous step (burst peaks
+        included), then settles to the post-drain 0 so tail readers see
+        steady-state 0 between bursts.  Returns ``(stream_id,
+        detection)`` pairs in processing order.
         """
         detections: list[tuple[str, Detection]] = []
-        sessions = self._sessions.values()
         # Queues only grow between steps, so their depth now is the
         # deepest any got since the previous step.
-        self._queue_depth_gauge.set(
-            float(max((len(s.queue) for s in sessions), default=0)))
-        first_round = True
-        while True:
-            staged = self._advance_round(detections)
-            if not staged and not first_round:
-                break
-            self._infer_batch(staged, detections)
-            first_round = False
-            if not staged:
-                break
-        self._queue_depth_gauge.set(
-            float(max((len(s.queue) for s in sessions), default=0)))
+        self._queue_depth_gauge.set(float(max(
+            (len(s.queue) for s in self._sessions.values()), default=0)))
+        self._infer_batch(self._advance_round(detections), detections)
+        self._queue_depth_gauge.set(0.0)
         self.rounds += 1
         now = self._stream_now
         if now is not None:
@@ -500,7 +493,7 @@ class ServeEngine:
             batch = self._empty_batch
         t0 = self._clock()
         try:
-            with batch_invariant(self.config.batch_invariant):
+            with batch_invariant():
                 out = np.asarray(self.model.predict(batch))
             # (k, 1) sigmoid outputs -> (k,).  reshape(-1) on the empty
             # batch relies on predict keeping the model's output shape
@@ -534,7 +527,7 @@ class ServeEngine:
         for session, request in pairs:
             t0 = self._clock()
             try:
-                with batch_invariant(self.config.batch_invariant):
+                with batch_invariant():
                     prob = float(np.asarray(
                         self.model.predict(request.window[None])
                     ).reshape(-1)[0])

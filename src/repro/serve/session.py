@@ -38,8 +38,8 @@ def sample_row(accel_g, gyro_dps, t) -> tuple | None:
     """One queued sample as a flat ``(ax, ay, az, gx, gy, gz, t)`` tuple
     of floats that shares nothing with the caller (``t`` NaN when
     missing), or ``None`` when the sample is malformed — not three
-    numbers per sensor, or a non-numeric timestamp — which
-    :meth:`StreamSession.drain_block` refuses.
+    numbers per sensor, or a non-numeric timestamp — which both front
+    doors refuse at submit.
 
     The one definition of a well-formed sample: any array-like holding
     three numbers per sensor, in any shape, is one.  Both front doors,
@@ -165,8 +165,9 @@ class StreamSession:
 
         Returns ``(accel (n, 3), gyro (n, 3), t)`` where ``t`` is ``None``
         when no queued sample carried a timestamp, else a float array with
-        NaN marking the untimestamped entries.  A malformed queued sample
-        makes the stacking raise, and the engine's quarantine containment
+        NaN marking the untimestamped entries.  Submits queue only
+        well-formed rows; should a malformed one ever reach the queue,
+        the stacking raises and the engine's quarantine containment
         takes the stream out of service.
         """
         queue = self.queue

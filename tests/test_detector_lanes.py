@@ -379,7 +379,7 @@ def test_steady_quantized_round_validates_every_lane_stacked(monkeypatch):
 def test_engine_lifecycle_keeps_every_surviving_stream_exact():
     """Streams join mid-run (a round grows from 4 lanes past the stacking
     threshold to 20, and the engine's lane bank reallocates past its
-    capacity), one is quarantined by a malformed sample and one is
+    capacity), one is quarantined by a malformed queued row and one is
     adopted through the fleet's adopt path after an outage: every
     surviving stream's detections and detector state equal its own
     ``push_block`` run, so no detector kept a stale view of its row, and
@@ -403,7 +403,9 @@ def test_engine_lifecycle_keeps_every_surviving_stream_exact():
             _adopt(engine, {adopted: outage_t})
             joined.append(adopted)
         if r == 4:
-            engine.submit(broken, np.zeros(2), np.zeros(3), 0.0)
+            # Submits refuse malformed samples; plant one in the queue
+            # to reach the drain's quarantine containment.
+            engine.session(broken).queue.append(None)
         for sid in joined:
             accel, gyro, t = _stream(sid, "quantized")
             for i in range(start[sid], start[sid] + 20):

@@ -34,8 +34,8 @@ DET = DetectorConfig()
 HOP = DET.hop_samples
 
 
-def _serve_config():
-    return ServeConfig(detector=DET, per_stream_metrics=False)
+def _serve_config(**kwargs):
+    return ServeConfig(detector=DET, per_stream_metrics=False, **kwargs)
 
 
 def _streams(n_streams=4, n_samples=400, pulse_t=2.5, seed=0):
@@ -105,8 +105,7 @@ class TestBackpressure:
         registry = MetricsRegistry()
         front = FleetFront(
             MagnitudeProbeModel(),
-            FleetConfig(n_shards=1, serve=_serve_config(),
-                        queue_capacity=10),
+            FleetConfig(n_shards=1, serve=_serve_config(queue_capacity=10)),
             registry=registry,
         )
         try:
@@ -116,11 +115,11 @@ class TestBackpressure:
                 accepted = front.submit("only", (0, 0, 1), (0, 0, 0),
                                         t=i / DET.fs)
                 assert accepted is True
-            shard = front._shards[0]
-            assert len(shard.pending) == 10
+            buffer = front._shards[0].queues["only"]
+            assert len(buffer) == 10
             # Oldest-first: the surviving samples are the 15 freshest
-            # (a pending sample is ``(stream_id, row)``, ``row[6]`` its t).
-            surviving_t = [row[6] for _, row in shard.pending]
+            # (a buffered row is ``(ax, ay, az, gx, gy, gz, t)``).
+            surviving_t = [row[6] for row in buffer]
             assert surviving_t == [i / DET.fs for i in range(15, 25)]
             assert front.shed_samples == 15
             front.pump()
@@ -157,8 +156,7 @@ class TestBackpressure:
     def test_block_longer_than_capacity_keeps_its_freshest_rows(self):
         front = FleetFront(
             MagnitudeProbeModel(),
-            FleetConfig(n_shards=1, serve=_serve_config(),
-                        queue_capacity=10),
+            FleetConfig(n_shards=1, serve=_serve_config(queue_capacity=10)),
             registry=MetricsRegistry(),
         )
         try:
@@ -167,8 +165,8 @@ class TestBackpressure:
             assert front.submit("only", accel[0], np.zeros(3), -1.0)
             assert front.submit_block("only", accel, np.zeros((25, 3)),
                                       t) == 10
-            pending = front._shards[0].pending
-            assert [row[6] for _, row in pending] == t[15:].tolist()
+            buffer = front._shards[0].queues["only"]
+            assert [row[6] for row in buffer] == t[15:].tolist()
             assert front.shed_samples == 16
             assert front.samples_in == 26
             assert front.last_round_t is None
@@ -197,7 +195,7 @@ class TestBackpressure:
                 assert front.submit_block("s0", accel, gyro, t) == 0
             assert front.dropped_samples == 4 * len(bad)
             assert front.samples_in == 0
-            assert not front._shards[0].pending
+            assert not front._shards[0].queues      # not even admitted
             accel, gyro, t = _streams(n_streams=1, n_samples=20)["s000"]
             assert front.submit_block("s0", accel, gyro, t) == 20
             front.drain()
@@ -206,6 +204,65 @@ class TestBackpressure:
             assert front.shard_reports()[0]["samples_in"] == 20
         finally:
             front.close()
+
+    def test_bursting_stream_sheds_only_its_own_rows(self):
+        """Noisy neighbour: with default capacities, a stream bursting
+        past 4096 rows between pumps sheds only its own oldest rows; the
+        quiet stream on the same shard keeps every row it sent."""
+        front = FleetFront(MagnitudeProbeModel(),
+                           FleetConfig(n_shards=1, serve=_serve_config()),
+                           registry=MetricsRegistry())
+        capacity = front.config.serve.queue_capacity
+        try:
+            for i in range(5):
+                assert front.submit("quiet", (0.0, 0.0, 1.0),
+                                    (0.0, 0.0, 0.0), t=i / DET.fs)
+            n = 5000
+            accel = np.tile([0.0, 0.0, 1.0], (n, 1))
+            queued = front.submit_block("loud", accel, np.zeros((n, 3)),
+                                        np.arange(n) / DET.fs)
+            front.drain()
+            front.close()
+        finally:
+            front.close()
+        assert set(front.stream_report()) == {"quiet", "loud"}
+        report = front.shard_reports()[0]
+        # Every buffered row reached the worker, and none shed there.
+        assert report["samples_in"] == 5 + capacity
+        assert report["dropped_samples"] == 0
+        assert queued == front.max_queue_depth == capacity
+        assert front.shed_samples == n - capacity
+
+    def test_shard_admits_at_most_max_streams(self):
+        """A shard's front buffers admit the streams its engine would:
+        beyond ``serve.max_streams`` a new stream's rows are refused at
+        the front, counted, and never buffered."""
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=1, serve=_serve_config(max_streams=2)),
+            registry=MetricsRegistry(),
+        )
+        try:
+            for sid in ("a", "b"):
+                assert front.submit(sid, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+                                    t=0.0)
+            assert front.submit("c", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+                                t=0.0) is False
+            assert front.submit_block("c", np.zeros((4, 3)),
+                                      np.zeros((4, 3))) == 0
+            assert front.shard_for("c") is None
+            assert front.dropped_samples == 5
+            assert front.samples_in == 2
+            assert set(front._shards[0].queues) == {"a", "b"}
+            assert front.stream_ids == ["a", "b"]
+            front.drain()
+            front.close()
+        finally:
+            front.close()
+        report = front.shard_reports()[0]
+        assert report["streams"] == 2
+        assert report["samples_in"] == 2
+        assert report["rejected_streams"] == 0
 
     def test_no_surviving_shard_drops_instead_of_raising(self):
         # max_restarts=1 with crashes recurring before any healthy round
@@ -322,6 +379,53 @@ class TestBitIdentity:
         assert all(len(v) > 0 for v in single.values())
         assert fleet == single
 
+    def test_fleet_matches_single_engine_under_overload(self):
+        """A stream bursting past ``serve.queue_capacity`` while pumps
+        stall: the fleet sheds exactly the rows a single engine sheds on
+        the same submit/step cadence, so detections stay byte-identical
+        (a shard-wide bound would shed the other streams' older rows,
+        their pulses among them)."""
+        stall = range(300, 599)             # no pump/step in here
+        burst = range(400, 4900)            # s000's rows sent in one go
+        streams = _streams(n_streams=3, n_samples=5000, pulse_t=3.5)
+        streams["s000"] = _streams(n_streams=1, n_samples=5000,
+                                   pulse_t=49.0)["s000"]
+
+        def feed(server, pump):
+            out = {sid: [] for sid in streams}
+            for i in range(5000):
+                for sid, (accel, gyro, t) in streams.items():
+                    rows = (i,)
+                    if sid == "s000" and i in burst:
+                        rows = burst if i == burst[0] else ()
+                    for j in rows:
+                        server.submit(sid, accel[j], gyro[j], t[j])
+                if (i + 1) % HOP == 0 and i not in stall:
+                    for sid, det in pump():
+                        out[sid].append(det)
+            return out
+
+        engine = ServeEngine(MagnitudeProbeModel(), _serve_config(),
+                             registry=MetricsRegistry())
+        single = feed(engine, engine.step)
+        for sid, det in engine.step():
+            single[sid].append(det)
+        front = FleetFront(MagnitudeProbeModel(),
+                           FleetConfig(n_shards=1, serve=_serve_config()),
+                           registry=MetricsRegistry())
+        try:
+            fleet = feed(front, front.pump)
+            for sid, det in front.drain():
+                fleet[sid].append(det)
+        finally:
+            front.close()
+        assert all(len(v) > 0 for v in single.values())
+        assert fleet == single
+        assert engine.dropped_samples > 0
+        assert front.shed_samples == engine.dropped_samples
+        assert front.shard_reports()[0]["dropped_samples"] == 0
+
+
 
 #: Forms a caller may pass one sensor reading in.  Each holds three
 #: numbers, so both front doors must serve it like a (3,) float array.
@@ -346,7 +450,8 @@ def served_forms():
     """One stream per reading form through one engine and one 1-shard
     fleet (a stream's detections do not depend on its neighbours):
     ``(engine detections, fleet detections, engine health, refused)``,
-    each keyed by form."""
+    each keyed by form, ``refused`` counting each front door's refusals
+    as ``(engine, fleet)``."""
     accel, gyro, t = _streams(n_streams=1)["s000"]
     forms = {**WELL_FORMED, **MALFORMED}
     engine = ServeEngine(MagnitudeProbeModel(), _serve_config(),
@@ -354,14 +459,14 @@ def served_forms():
     front = FleetFront(MagnitudeProbeModel(),
                        FleetConfig(n_shards=1, serve=_serve_config()),
                        registry=MetricsRegistry())
-    refused = dict.fromkeys(forms, 0)
+    refused = {name: [0, 0] for name in forms}
     try:
         for i in range(len(t)):
             for name, form in forms.items():
-                engine.submit(name, form(accel[i]), form(gyro[i]), t[i])
-                if not front.submit(name, form(accel[i]), form(gyro[i]),
-                                    t[i]):
-                    refused[name] += 1
+                for door, server in enumerate((engine, front)):
+                    if not server.submit(name, form(accel[i]),
+                                         form(gyro[i]), t[i]):
+                        refused[name][door] += 1
         single = {name: [] for name in forms}
         for sid, det in engine.step():
             single[sid].append(det)
@@ -379,7 +484,7 @@ class TestSampleForms:
     def test_well_formed_sample_is_served_alike(self, served_forms, form):
         single, fleet, health, refused = served_forms
         assert health[form] != "quarantined"
-        assert refused[form] == 0
+        assert refused[form] == [0, 0]
         assert single[form] and fleet[form] == single[form]
         if form != "int(3,)":
             assert single[form] == single["float(3,)"]
@@ -387,8 +492,9 @@ class TestSampleForms:
     @pytest.mark.parametrize("form", list(MALFORMED))
     def test_malformed_sample_is_served_by_neither(self, served_forms, form):
         single, fleet, health, refused = served_forms
-        assert health[form] == "quarantined"       # at drain
-        assert refused[form] == 400                # at submit
+        # Refused at submit by both doors; the stream is not quarantined.
+        assert refused[form] == [400, 400]
+        assert health[form] != "quarantined"
         assert single[form] == fleet[form] == []
 
 
@@ -438,7 +544,7 @@ class TestFailover:
         # covers the lost round.
         assert report["shed_samples"] == 0
         assert report["redelivered_samples"] > 0
-        assert report["max_queue_depth"] <= front.config.queue_capacity
+        assert report["max_queue_depth"] <= front.config.serve.queue_capacity
         assert registry.counter("fleet/worker_restarts").value >= 1
         # Recovery shows in the merged exposition, which passes the lint.
         exposition = render_exposition(registry)
@@ -478,7 +584,8 @@ class TestFailover:
             assert sent[0][0] == "round" and sent[0][4].shape == (200, 7)
             assert front.worker_crashes == 1
             assert front.redelivered_samples == 200
-            assert [row[6] for _, row in shard.pending] == t[:200].tolist()
+            assert ([row[6] for row in shard.queues["s000"]]
+                    == t[:200].tolist())
             front.submit_block("s000", accel[200:], gyro[200:], t[200:])
             detections = front.drain()
             report = front.close()
@@ -488,6 +595,51 @@ class TestFailover:
         assert front.shard_reports()[0]["samples_in"] == 400
         assert set(front.stream_report()) == {"s000"}
         assert any(d.time_s >= 2.0 for _, d in detections)
+
+    def test_failover_resumes_the_acknowledged_clock(self):
+        """A worker SIGKILLed with its second round in flight: the
+        rebuilt sessions resume at the last timestamp a worker
+        acknowledged, so the redelivered rows continue each stream's
+        clock and no clean stream reads a backwards one."""
+        streams = _streams(n_streams=3, n_samples=400)
+        registry = MetricsRegistry()
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=1,
+                        serve=ServeConfig(detector=DET,
+                                          per_stream_metrics=True),
+                        worker_timeout_s=120.0, restart_initial_s=0.02),
+            registry=registry,
+        )
+        try:
+            for lo, hi in ((0, 100), (100, 200)):
+                for sid, (accel, gyro, t) in streams.items():
+                    front.submit_block(sid, accel[lo:hi], gyro[lo:hi],
+                                       t[lo:hi])
+                if lo:
+                    shard = front._shards[0]
+                    send = shard.conn.send
+
+                    def kill_then_send(message):
+                        shard.process.kill()
+                        shard.process.join(timeout=5.0)
+                        send(message)
+
+                    shard.conn.send = kill_then_send
+                front.pump()
+            assert front.worker_crashes == 1
+            assert front.redelivered_samples == 300
+            for sid, (accel, gyro, t) in streams.items():
+                front.submit_block(sid, accel[200:], gyro[200:], t[200:])
+            front.drain()
+            report = front.close()
+        finally:
+            front.close()
+        assert report["worker_restarts"] == 1
+        assert set(front.stream_report()) == set(streams)
+        for sid in streams:
+            assert registry.counter(
+                f"serve/stream/{sid}/clock_anomalies").value == 0, sid
 
     def test_rehomed_detector_reports_interruption_then_recovers(self):
         # The unit-level core of degraded-then-healthy: a rebuilt session
@@ -538,6 +690,46 @@ class TestFailover:
             assert front.live_shards == [0]
         finally:
             front.close()
+
+    def test_evacuation_onto_a_restarting_shard_waits_for_its_restart(self):
+        """A shard fails permanently while its only survivor is down
+        awaiting restart: its streams and buffered rows move onto the
+        survivor's roster, and the survivor's restart adopts them."""
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=2, serve=_serve_config(),
+                        worker_timeout_s=120.0, restart_initial_s=0.01,
+                        max_restarts=1),
+            registry=MetricsRegistry(),
+        )
+
+        def crash(index):
+            front.kill_worker(index)
+            front._shards[index].process.join(timeout=5.0)
+            assert front.heartbeat() == [index]
+
+        try:
+            sids = [f"s{i:03d}" for i in range(8)]
+            crash(1)
+            deadline = time.monotonic() + 20.0
+            while not front._shards[1].up and time.monotonic() < deadline:
+                front._restart_due(time.monotonic())
+                time.sleep(0.005)
+            for sid in sids:
+                assert front.submit(sid, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+                                    t=0.0)
+            crash(0)                        # down, restart scheduled
+            crash(1)                        # restart budget spent
+            assert front._shards[1].failed
+            assert sorted(front.stream_ids) == sids
+            assert set(front._shards[0].queues) == set(sids)
+            front.drain()
+            front.close()
+        finally:
+            front.close()
+        assert front.dropped_samples == 0
+        assert set(front.stream_report()) == set(sids)
+        assert front.shard_reports()[0]["samples_in"] == len(sids)
 
     def test_heartbeat_detects_dead_worker(self, front):
         assert front.heartbeat() == []
@@ -596,6 +788,30 @@ class TestPipeFormat:
                        else np.arange(len(t)) % 3 == 0)
             assert np.isnan(rows[missing, 6]).all()
             np.testing.assert_array_equal(rows[~missing, 6], t[~missing])
+
+    def test_round_robin_submits_give_one_run_per_stream(self, front):
+        """Per-sample submits interleaved across streams still ship one
+        run per stream per round, in the order the shard admitted them."""
+        sent = []
+        for shard in front._shards:
+            def spy(message, send=shard.conn.send):
+                sent.append(message)
+                send(message)
+            shard.conn.send = spy
+        streams = _streams(n_streams=6, n_samples=2 * HOP)
+        for lo in (0, HOP):
+            for i in range(lo, lo + HOP):
+                for sid, (accel, gyro, t) in streams.items():
+                    front.submit(sid, accel[i], gyro[i], t[i])
+            front.pump()
+        rounds = [m for m in sent if m[0] == "round"]
+        assert len(rounds) == 4
+        for _, _, run_sids, run_lens, block in rounds:
+            homed = [sid for sid in streams
+                     if front.shard_for(sid) == front.shard_for(run_sids[0])]
+            assert run_sids == homed
+            assert run_lens == [HOP] * len(homed)
+            assert len(block) == HOP * len(homed)
 
 
 class _SpanningProbe(MagnitudeProbeModel):

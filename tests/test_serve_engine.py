@@ -216,21 +216,23 @@ def test_submit_copies_the_sample_so_callers_may_reuse_buffers():
 
 @pytest.mark.parametrize("accel", [None, (0.0, 1.0), ("x", 0.0, 1.0),
                                    np.zeros((2, 3))])
-def test_malformed_sample_is_queued_then_quarantines_its_stream(accel):
-    """``submit`` never raises on a malformed sample; draining it
-    quarantines that stream alone."""
+def test_malformed_sample_is_refused_at_submit_and_counted(accel):
+    """``submit`` never raises on a malformed sample: it refuses it and
+    counts it as dropped, and the stream keeps serving its good ones."""
     engine = _engine(_ConstantModel())
-    streams = _bench_streams([0, 1])
-    ok_accel, ok_gyro, ok_t = streams["s0"]
-    assert engine.submit("bad", accel, np.zeros(3), 0.0) is True
+    ok_accel, ok_gyro, ok_t = _bench_streams([0, 1])["s0"]
+    assert engine.submit("bad", accel, np.zeros(3), 0.0) is False
+    assert engine.dropped_samples == 1
+    assert engine.samples_in == 0
     for i in range(20):
-        engine.submit("s0", ok_accel[i], ok_gyro[i], ok_t[i])
+        for sid in ("bad", "s0"):
+            engine.submit(sid, ok_accel[i], ok_gyro[i], ok_t[i])
     engine.step()
     report = engine.stream_report()
-    assert report["bad"]["health"] == "quarantined"
-    assert report["s0"]["health"] == "healthy"
-    assert engine.stream_errors == 1
-    assert engine.session("s0").detector.samples_seen == 20
+    assert report["bad"]["health"] == report["s0"]["health"] == "healthy"
+    assert engine.stream_errors == 0
+    for sid in ("bad", "s0"):
+        assert engine.session(sid).detector.samples_seen == 20
 
 
 def test_queue_depth_gauge_reports_burst_peak_then_steady_state():
