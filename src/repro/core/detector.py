@@ -61,7 +61,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..obs import Histogram, StageTimer, get_logger, get_registry
+from ..obs import STAGES, Histogram, StageTimer, get_logger, get_registry
 from ..signal.filters import OnlineSosFilter, butter_lowpass_sos
 from ..signal.orientation import ComplementaryFilter
 
@@ -85,6 +85,11 @@ _logger = get_logger(__name__)
 #: Histogram edges tuned for inference latency in milliseconds: 10 µs
 #: resolution at the bottom, covering up to ~84 s in the overflow tail.
 _LATENCY_BUCKETS_MS = tuple(0.01 * 2 ** i for i in range(23))
+
+#: Columns of a stage timer's pending costs (:data:`repro.obs.STAGES`).
+_INGEST, _FUSION, _FILTER, _WINDOW, _DECISION = (
+    STAGES.index(stage)
+    for stage in ("ingest", "fusion", "filter", "window", "decision"))
 
 #: Detector health states, in increasing order of severity.
 HEALTHY = "healthy"
@@ -179,11 +184,12 @@ class DetectorConfig:
     #: fallback's triggers are emitted so the airbag stays guarded.
     fallback: bool = True
     #: Per-stage latency attribution (:class:`repro.obs.StageTimer`):
-    #: paired clock reads around each pipeline stage, flushed into
-    #: off-registry histograms on every completed window.  The clock
-    #: reads cannot perturb the data path, so ``push_block`` stays
-    #: bit-identical to the per-sample oracle with timing enabled; the
-    #: overhead is a handful of ``perf_counter`` calls per block.
+    #: clock reads at each pipeline phase's boundaries, charged to the
+    #: stream's row of its lane bank's timer and flushed into
+    #: off-registry histograms as windows complete.  The clock reads
+    #: cannot perturb the data path, so ``push_block`` stays bit-identical
+    #: to the per-sample oracle with timing enabled; the overhead is a
+    #: handful of ``perf_counter`` calls per block.
     stage_timing: bool = True
 
     def __post_init__(self):
@@ -464,10 +470,22 @@ class LaneBank:
     the passes of a lane alone, its fallback state as a list (the scalar
     steps' own layout, which spares a one-row push an array round trip);
     it goes back into the row before anything reads the row.
+
+    With ``config.stage_timing`` the bank holds one
+    :class:`~repro.obs.StageTimer` (``stages``) for all its detectors:
+    row ``r`` of its pending costs is row ``r``'s stream, so a stacked
+    pass charges its rows with one vectorized add.  ``round_flush`` says
+    who closes out completed windows: each detector's
+    :meth:`FallDetector.complete` (false, a standalone detector), or the
+    bank's owner once per inference round (true, the serving engine).
     """
 
-    def __init__(self, config: DetectorConfig):
+    def __init__(self, config: DetectorConfig, *, stage_clock=None,
+                 round_flush: bool = False):
         self.design = _design(config)
+        self.stages = (StageTimer(clock=stage_clock)
+                       if config.stage_timing else None)
+        self.round_flush = round_flush
         self._members = weakref.WeakSet()
         self.size = 0
         self.capacity = 0
@@ -480,6 +498,8 @@ class LaneBank:
             if self.size:
                 arr[:self.size] = getattr(self, name)[:self.size]
             setattr(self, name, arr)
+        if self.stages is not None:
+            self.stages.reserve(capacity)
         self.capacity = capacity
         for det in self._members:
             det._views = self.gather(slice(det._row, det._row + 1))
@@ -497,23 +517,30 @@ class LaneBank:
 
     def reset(self, row: int, *, stream_only: bool = False) -> None:
         """Make ``row`` fresh: the filter and fusion state, and with
-        ``stream_only`` false every field."""
+        ``stream_only`` false every field and its pending stage costs."""
         for name, (_, _, fresh) in zip(_BankRows._fields,
                                        self.design.layout):
             if not stream_only or name in ("sos", "angles"):
                 getattr(self, name)[row] = fresh
+        if not stream_only and self.stages is not None:
+            self.stages.discard_pending(row)
 
     def attach(self, detector: "FallDetector") -> None:
-        """Move ``detector``'s state into a new row of this bank."""
+        """Move ``detector``'s state, pending stage costs included, into
+        a new row of this bank (and so onto this bank's stage timer)."""
         old = detector._bank
         if old is self:
             return
         if old.design.config != self.design.config:
             raise ValueError("a bank holds detectors of one config")
         detector._flush_fallback()
+        detector._flush_spent()
         values = detector._views
+        old_row = detector._row
         self.add(detector)
         self.scatter(detector._row, values)
+        if self.stages is not None:
+            self.stages.pending[detector._row] = old.stages.pending[old_row]
         old._members.discard(detector)
 
     def gather(self, rows) -> _BankRows:
@@ -569,21 +596,16 @@ class FallDetector:
         #: detector feeds it every sample/window/decision/health event.
         self.recorder = recorder
         cfg = self.config
-        # The streaming state: this detector's row of a bank of one until
-        # a LaneBank.attach moves it into a shared one.
-        LaneBank(cfg).add(self)
+        # The streaming state, stage timer included: this detector's row
+        # of a bank of one until a LaneBank.attach moves it into a shared
+        # one.  `stage_clock` is injectable for deterministic tests.
+        LaneBank(cfg, stage_clock=stage_clock).add(self)
         self._window_n = cfg.window_samples
         self._deadline = cfg.effective_deadline_ms
         # Deadline monitor: one latency sample per window inference.  A
         # perf_counter pair per hop (every ~200 ms of stream) is noise next
         # to the CNN forward pass, so this is always on.
         self.latency = Histogram(buckets=_LATENCY_BUCKETS_MS)
-        # Stage-level budget attribution.  Off-registry, like `latency`:
-        # the block bit-identity suite compares registry snapshots, and
-        # wall-clock stage costs are legitimately different between the
-        # two arms.  `stage_clock` is injectable for deterministic tests.
-        self.stages = (StageTimer(clock=stage_clock)
-                       if cfg.stage_timing else None)
         self._deadline_violations = 0
         self._metrics = registry if registry is not None else get_registry()
         self._metric_prefix = str(metric_prefix)
@@ -618,9 +640,11 @@ class FallDetector:
 
     def _init_health_state(self) -> None:
         self._bank.reset(self._row)
-        # A lane alone carries its fallback state as a list between its
-        # passes (see _flush_fallback); None: the bank row holds it.
+        # A lane alone carries its fallback state and its stage costs as
+        # lists between its passes (see _flush_fallback, _flush_spent);
+        # None: the bank row and the stage-timer row hold them.
         self._fb = None
+        self._spent = None
         self._last_t: float | None = None
         self._sample_index = -1
         self._hit_streak = 0
@@ -654,22 +678,23 @@ class FallDetector:
         """Forget all streaming state — a reset detector is
         indistinguishable from a freshly constructed one.
 
-        That includes the debounce streak, the health machine and the
-        deadline monitor.  Pass ``preserve_latency_stats=True`` to keep the
-        latency histogram and violation counter across trials when the
-        statistics should describe the deployment rather than one stream
-        (e.g. ``repro profile``).
+        That includes the debounce streak, the health machine, the
+        deadline monitor and the stage timer (only this stream's pending
+        costs when it shares its bank's timer).  Pass
+        ``preserve_latency_stats=True`` to keep the latency histogram,
+        violation counter and flushed stage statistics across trials when
+        the statistics should describe the deployment rather than one
+        stream (e.g. ``repro profile``).
         """
         self._init_stream_state()
-        self._init_health_state()
-        if self.stages is not None:
-            if preserve_latency_stats:
-                self.stages.discard_pending()
-            else:
-                self.stages = StageTimer(clock=self.stages.clock)
+        self._init_health_state()       # drops the pending stage costs
         if not preserve_latency_stats:
             self.latency.reset()
             self._deadline_violations = 0
+            if self.stages is not None and self._bank.size == 1:
+                # A timer of its own starts over too; a shared one keeps
+                # the other streams' statistics.
+                self.stages.reset()
         if self.recorder is not None:
             self.recorder.note_reset()
 
@@ -693,6 +718,18 @@ class FallDetector:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    @property
+    def stages(self) -> StageTimer | None:
+        """The stage timer charged for this detector (its lane bank's:
+        shared by every stream of a serving engine), or ``None`` when
+        ``config.stage_timing`` is off."""
+        return self._bank.stages
+
+    @property
+    def stage_row(self) -> int:
+        """This detector's row of :attr:`stages`' pending costs."""
+        return self._row
+
     @property
     def deadline_violations(self) -> int:
         """Window inferences that exceeded ``config.effective_deadline_ms``."""
@@ -759,8 +796,9 @@ class FallDetector:
         }
 
     def stage_report(self) -> dict | None:
-        """Per-stage latency attribution (see :class:`repro.obs.StageTimer`),
-        or ``None`` when ``config.stage_timing`` is off."""
+        """Per-stage latency attribution (see :class:`repro.obs.StageTimer`)
+        of every stream sharing :attr:`stages`, or ``None`` when
+        ``config.stage_timing`` is off."""
         if self.stages is None:
             return None
         return self.stages.report()
@@ -792,6 +830,13 @@ class FallDetector:
         if self._fb is not None:
             self._views.fb_state[0] = self._fb
             self._fb = None
+
+    def _flush_spent(self) -> None:
+        """Add the stage costs a lane alone carried (``_spent``) to this
+        detector's stage-timer row, before anything reads that row."""
+        if self._spent is not None:
+            self._bank.stages.pending[self._row] += self._spent
+            self._spent = None
 
     @property
     def _last_raw(self) -> np.ndarray:
@@ -905,14 +950,16 @@ class FallDetector:
         that the model raised: the CNN is shed, and the staged fallback
         evidence still guards the sample.  Never raises.
         """
-        if self.stages is not None:
+        bank = self._bank
+        if bank.stages is not None and not bank.round_flush:
             # One completed window closes out one attribution sample: the
             # charged inference latency joins the stage costs accumulated
             # since the previous complete, and the flushed sum *is* the
-            # recorded end-to-end latency (attribution sums exactly).
-            if latency_ms is not None and not failed:
-                self.stages.add_ms("inference", latency_ms)
-            self.stages.flush()
+            # recorded end-to-end latency (attribution sums exactly).  An
+            # engine flushes its round's windows itself.
+            bank.stages.flush(
+                (self._row,),
+                latency_ms if latency_ms is not None and not failed else 0.0)
         if failed:
             if self.recorder is not None:
                 self.recorder.record_window(
@@ -1004,10 +1051,6 @@ class FallDetector:
         :meth:`complete` — and the fallback decides every row the CNN
         does not take.
         """
-        st = self.stages
-        clk = st.clock if st is not None else None
-        if clk is not None:
-            t0 = clk()
         hit = None
         if window is not None and self._cnn_shed:
             # Load shedding: skip the CNN for shed_retry_hops hops, then
@@ -1026,8 +1069,6 @@ class FallDetector:
         else:
             hit = self._fallback_decide(fallback_hit, time_s,
                                         self._sample_index, window_ready)
-        if clk is not None:
-            st.add("decision", clk() - t0)
         return hit
 
     # ------------------------------------------------------------------
@@ -1125,25 +1166,11 @@ class FallDetector:
     # ------------------------------------------------------------------
     def _push_lane(self, accel_g, gyro_dps, t):
         """One block through :func:`ingest_lanes`' phases as a group of
-        one, then the decision replay."""
+        one, the decision replay included."""
         accel, gyro, t_list = _parse(accel_g, gyro_dps, t)
         if accel.shape[0] == 0:
             return [], []
-        return self._decide_timed(_ingest_one(self, accel, gyro, t_list))
-
-    def _decide_timed(self, inputs):
-        """:meth:`_decide_rows`, charged to the decision stage less the
-        spans ``_decide`` attributed to itself meanwhile."""
-        st = self.stages
-        if st is None:
-            return self._decide_rows(*inputs)
-        t0 = st.clock()
-        dec0 = st.pending_ms("decision")
-        result = self._decide_rows(*inputs)
-        wall_ms = 1000.0 * (st.clock() - t0)
-        inner_ms = st.pending_ms("decision") - dec0
-        st.add_ms("decision", max(0.0, wall_ms - inner_ms))
-        return result
+        return _ingest_one(self, accel, gyro, t_list)
 
     def _decide_rows(self, accel, gyro, repaired, data_anom, dead, ts_anom,
                      real_t, expansion, windows, ready, fb_hits):
@@ -1308,8 +1335,10 @@ def ingest_lanes(blocks) -> list:
     on its own is lost.  Smaller groups run lane by lane
     (:func:`_ingest_one`, the same phases on the lane's bank row).
 
-    Stage timing: a group charges each timed lane a share of every
-    phase's wall time in proportion to its rows.
+    Stage timing: a stacked group times each phase once, its decision
+    replay included, and charges its rows of the bank's stage timer with
+    one vectorized add (:func:`_charge`); a lane alone charges its own
+    row once per pass.
     """
     results: list = [None] * len(blocks)
     groups: dict = {}
@@ -1325,24 +1354,22 @@ def ingest_lanes(blocks) -> list:
         else:
             groups.setdefault(key, []).append((i, lane))
     for members in groups.values():
-        staged = None
         if len(members) >= _STACK_MIN_LANES:
             lanes = [lane for _, lane in members]
             bank = lanes[0][0]._bank
             try:
                 for lane in lanes:
                     bank.attach(lane[0])
-                staged = _ingest(bank, lanes)
+                for (i, _), result in zip(members, _ingest(bank, lanes)):
+                    results[i] = result
+                continue
             except Exception:
                 _logger.exception(
                     "stacked ingest raised for %d lanes; rerunning them "
                     "one at a time", len(lanes))
-        for k, (i, lane) in enumerate(members):
-            det = lane[0]
+        for i, lane in members:
             try:
-                inputs = (staged[k] if staged is not None
-                          else _ingest_one(*lane))
-                results[i] = det._decide_timed(inputs)
+                results[i] = _ingest_one(*lane)
             except Exception as exc:
                 results[i] = exc
     return results
@@ -1372,16 +1399,23 @@ def _parse(accel_g, gyro_dps, t):
 
 
 def _ingest_one(det, accel, gyro, t_list) -> tuple:
-    """Every phase before the decision replay for a lane alone; returns
-    its :meth:`FallDetector._decide_rows` inputs.  The lane's bank row
+    """Every phase for a lane alone, the decision replay included;
+    returns its ``(detections, requests)``.  The lane's bank row
     advances in place through the detector's views, except the fallback
-    state, which the lane carries as a list (``FallDetector._fb``); each
-    phase is charged to its own stage timer."""
+    state and the stage costs, which the lane carries as lists
+    (``FallDetector._fb``, ``_spent``): a one-row push would pay more for
+    each array round trip than for its own phases.  The stage costs go
+    to the lane's stage-timer row once the pass stages a window, whose
+    flush reads the row."""
     d = det._bank.design
     state = det._views
-    st = det.stages
+    st = det._bank.stages
     clk = None if st is None else st.clock
+    spent = None
     if clk is not None:
+        if det._spent is None:
+            det._spent = [0.0] * len(STAGES)
+        spent = det._spent
         t0 = clk()
     counts: dict = {}
     plan, clock, anomalies = _plan_clock(d, t_list, accel.shape[0],
@@ -1402,20 +1436,27 @@ def _ingest_one(det, accel, gyro, t_list) -> tuple:
                                            0, counts, 1)
         ex6 = ex6[None]
     if clk is not None:
-        st.add("ingest", clk() - t0)
+        spent[_INGEST] += clk() - t0
     ring = [det._buffer, det._filled, det._since_last_inference]
     fb = det._fb
     if fb is None and d.fallback is not None:
         fb = det._fb = state.fb_state[0].tolist()
-    (out,) = _stream_pass(d, state, ex6, segments, (ring,), clk, st, fb)
+    (out,) = _stream_pass(d, state, ex6, segments, (ring,), clk, spent, fb)
     det._buffer, det._filled, det._since_last_inference = ring
     det._last_t = clock
     if counts:
         _add_counts((det,), counts)
-    return (accel, gyro, repaired[0],
-            None if data_anom is None else data_anom[0],
-            None if dead is None else dead[0], plan[0], plan[1],
-            expansion) + out
+    if clk is not None:
+        t0 = clk()
+    result = det._decide_rows(accel, gyro, repaired[0],
+                              None if data_anom is None else data_anom[0],
+                              None if dead is None else dead[0], plan[0],
+                              plan[1], expansion, *out)
+    if clk is not None:
+        spent[_DECISION] += clk() - t0
+        if result[1]:
+            det._flush_spent()
+    return result
 
 
 def _add_counts(dets, counts: dict) -> None:
@@ -1430,26 +1471,29 @@ def _add_counts(dets, counts: dict) -> None:
 def _ingest(bank: LaneBank, lanes) -> list:
     """:func:`_ingest_one` for a stacked group — ``lanes`` of ``(det,
     accel, gyro, t_list)`` sharing one bank and block length — as one
-    pass over ``(lanes, n, ...)`` arrays; returns each lane's inputs.
+    pass over ``(lanes, n, ...)`` arrays; returns each lane's
+    ``(detections, requests)``, or the exception its decision replay
+    raised.
 
     The group works on a gathered copy of its bank rows, scattered back
     — with every lane's window ring, clock and counters — only once
-    every phase has succeeded.  A lane whose block holds gap fills or
-    long-gap resets leaves the stack after validation and planning and
-    runs the stream phases alone.
+    every phase has succeeded; then each lane replays its decisions.  A
+    lane whose block holds gap fills or long-gap resets leaves the stack
+    after validation and planning and runs the stream phases alone.
     """
     d = bank.design
     dets = [lane[0] for lane in lanes]
     t_lists = [lane[3] for lane in lanes]
     for det in dets:
         det._flush_fallback()
+        det._flush_spent()
     rows = np.array([det._row for det in dets])
     state = bank.gather(rows)
     accel = np.array([lane[1] for lane in lanes])
     gyro = np.array([lane[2] for lane in lanes])
-    clk = next((det.stages.clock for det in dets
-                if det.stages is not None), None)
-    spent = None if clk is None else _Spent()
+    st = bank.stages
+    clk = None if st is None else st.clock
+    spent = None if st is None else [0.0] * len(STAGES)
     n = accel.shape[1]
     if clk is not None:
         t0 = clk()
@@ -1461,7 +1505,7 @@ def _ingest(bank: LaneBank, lanes) -> list:
                for k, plan in enumerate(plans) if plan[2] is not None}
     repaired, data_anom, dead = _validate(d, state, accel, gyro, counts)
     if clk is not None:
-        spent.add("ingest", clk() - t0)
+        spent[_INGEST] += clk() - t0
     rings = [[det._buffer, det._filled, det._since_last_inference]
              for det in dets]
     outputs: list = [None] * len(dets)
@@ -1484,43 +1528,43 @@ def _ingest(bank: LaneBank, lanes) -> list:
                                            anchor if seen else None, k,
                                            counts, len(dets))
         if clk is not None:
-            spent.add("ingest", clk() - t0)
+            spent[_INGEST] += clk() - t0
         (out,) = _stream_pass(d, _BankRows(*(f[k:k + 1] for f in state)),
                               ex6[None], segments, rings[k:k + 1], clk,
                               spent)
         outputs[k] = (expansion,) + out
     bank.scatter(rows, state)
-    if clk is not None:
-        _charge(dets, spent, [len(out[3]) for out in outputs])
     for det, ring, clock in zip(dets, rings, clocks):
         det._buffer, det._filled, det._since_last_inference = ring
         det._last_t = clock
     _add_counts(dets, counts)
-    return [(lane[1], lane[2], repaired[k],
-             None if data_anom is None else data_anom[k],
-             None if dead is None else dead[k]) + plans[k][:2] + outputs[k]
-            for k, lane in enumerate(lanes)]
+    if clk is not None:
+        t0 = clk()
+    results = []
+    for k, lane in enumerate(lanes):
+        try:
+            results.append(lane[0]._decide_rows(
+                lane[1], lane[2], repaired[k],
+                None if data_anom is None else data_anom[k],
+                None if dead is None else dead[k], *plans[k][:2],
+                *outputs[k]))
+        except Exception as exc:
+            results.append(exc)
+    if clk is not None:
+        spent[_DECISION] += clk() - t0
+        _charge(st, rows, spent, [len(out[3]) for out in outputs])
+    return results
 
 
-class _Spent(dict):
-    """A stacked group's phase times (seconds), until :func:`_charge`."""
-
-    def add(self, stage: str, elapsed_s: float) -> None:
-        self[stage] = self.get(stage, 0.0) + elapsed_s
-
-
-def _charge(dets, spent: _Spent, sizes: list) -> None:
-    """Split a group's phase times over its timed lanes: validation and
-    planning evenly (the lanes share a block length), the stream phases
-    by expanded rows."""
-    total = sum(sizes)
-    ingest = spent.pop("ingest", 0.0) / len(dets)
-    for det, size in zip(dets, sizes):
-        st = det.stages
-        if st is not None:
-            st.add("ingest", ingest)
-            for stage, elapsed_s in spent.items():
-                st.add(stage, elapsed_s * size / total)
+def _charge(stages: StageTimer, rows, spent: list, sizes: list) -> None:
+    """Split a stacked group's phase times (seconds, one per stage) over
+    its ``rows`` of ``stages`` with one vectorized add: validation and
+    planning evenly (the lanes share a block length), the other phases
+    by each lane's expanded rows ``sizes``."""
+    sizes = np.asarray(sizes, dtype=float)
+    costs = np.multiply.outer(sizes / sizes.sum(), spent)
+    costs[:, _INGEST] = spent[_INGEST] / len(sizes)
+    stages.pending[rows] += costs
 
 
 def _validate(d, state: _BankRows, accel, gyro, counts: dict):
@@ -1777,7 +1821,8 @@ def _stream_pass(d, state: _BankRows, ex6, segments, rings, clk,
     ``segments`` cuts a lane's rows at its long-gap resets, where filter,
     fusion and window start over (``None``: one reset-free stretch).
     ``fb`` is a lane alone's carried fallback state (a list, used in
-    place of ``state.fb_state``).  Phase times go to ``spent.add``.
+    place of ``state.fb_state``).  Phase times (seconds) add to the
+    ``spent`` list, one entry per stage, when ``clk`` is given.
     Returns per lane ``(windows, ready, fallback hits)``: the full window
     each due row stages, and per row whether its window had filled."""
     lanes, m = ex6.shape[:2]
@@ -1805,20 +1850,20 @@ def _stream_pass(d, state: _BankRows, ex6, segments, rings, clk,
                                           seg[:, :, 3:])
         if clk is not None:
             now = clk()
-            spent.add("fusion", now - lap)
+            spent[_FUSION] += now - lap
             lap = now
         scaled = d.filter.process_lanes(
             state.sos, np.concatenate([seg, euler], axis=2)) / d.scales
         if clk is not None:
             now = clk()
-            spent.add("filter", now - lap)
+            spent[_FILTER] += now - lap
             lap = now
         for lane in range(lanes):
             _window(d, rings[lane], scaled[lane], a, windows[lane],
                     ready[lane])
         if clk is not None:
             now = clk()
-            spent.add("window", now - lap)
+            spent[_WINDOW] += now - lap
             lap = now
     if d.fallback is None:
         hits = [[False] * m] * lanes
@@ -1827,7 +1872,7 @@ def _stream_pass(d, state: _BankRows, ex6, segments, rings, clk,
     else:
         hits = d.fallback.push_lanes(state.fb_state, ex6[:, :, :3])
     if clk is not None:
-        spent.add("decision", clk() - lap)
+        spent[_DECISION] += clk() - lap
     return list(zip(windows, ready, hits))
 
 

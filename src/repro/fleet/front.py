@@ -134,7 +134,9 @@ def _round_message(seq: int, runs: list) -> tuple:
     float64 array (a raw buffer that pickles at 8 bytes a value and
     round-trips float64 exactly — the bit-identity proof depends on the
     pipe being lossless), each run named once in ``run_sids`` with its
-    row count in ``run_lens``."""
+    row count in ``run_lens``.  The worker answers ``("ok", seq,
+    results)``: the round's ``(stream_id, Detection, health)``
+    triples."""
     run_lens = [len(queue) for _, queue in runs]
     rows = chain.from_iterable(chain.from_iterable(q for _, q in runs))
     block = np.fromiter(rows, float, 7 * sum(run_lens)).reshape(-1, 7)
@@ -557,11 +559,12 @@ class FleetFront:
                 continue
             self._queues[stream_id].extend(rows)
             adopted.setdefault(home, []).append(stream_id)
-            self.rehomed_streams += 1
         for index, stream_ids in adopted.items():
             target = self._shards[index]
             if not target.up:
-                continue  # its restart adopts its whole roster
+                # Its restart adopts (and counts) its whole roster.
+                continue
+            self.rehomed_streams += len(stream_ids)
             try:
                 target.conn.send(("adopt", self._resume_clocks(stream_ids)))
             except (OSError, ValueError):

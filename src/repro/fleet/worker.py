@@ -12,7 +12,7 @@ and drives it through a synchronous message loop over a duplex pipe:
     bound): run ``i`` is the next ``run_lens[i]`` rows, of stream
     ``run_sids[i]``.  Hand each run's slice to ``engine.submit_block``,
     run one ``engine.step()``,
-    reply ``("ok", seq, results, stats)`` where
+    reply ``("ok", seq, results)`` where
     ``results`` is ``[(stream_id, Detection, health), ...]`` —
     detections are frozen dataclasses of floats, so they pickle back to
     the front bit-exactly.
@@ -73,17 +73,6 @@ def _adopt(engine: ServeEngine, streams: dict) -> None:
             _logger.exception("could not adopt stream %r", stream_id)
 
 
-def _round_stats(engine: ServeEngine) -> dict:
-    """Small per-round stats dict the front folds into its gauges."""
-    return {
-        "streams": len(engine.stream_ids),
-        "samples_in": engine.samples_in,
-        "dropped_samples": engine.dropped_samples,
-        "windows_inferred": engine.windows_inferred,
-        "detections": engine.detections,
-    }
-
-
 def shard_main(conn, shard_index: int, model, serve_config, base_seed: int,
                stream_init: dict, ship_trace: bool = False) -> None:
     """Worker process entry point (module-level: picklable under spawn)."""
@@ -126,7 +115,7 @@ def shard_main(conn, shard_index: int, model, serve_config, base_seed: int,
                 _logger.exception("engine.step raised in shard %d",
                                   shard_index)
             try:
-                conn.send(("ok", seq, results, _round_stats(engine)))
+                conn.send(("ok", seq, results))
             except (OSError, ValueError):
                 break
         elif kind == "ping":

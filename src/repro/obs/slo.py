@@ -8,17 +8,24 @@ budget* and *whether the fleet is trending toward violation* before a
 user feels it:
 
 :class:`StageTimer`
-    Per-detector wall-clock attribution across the streaming pipeline's
-    stages (:data:`STAGES`): ingest/repair, orientation fusion, SOS
-    filtering, window assembly, CNN inference, fallback+decision.  Stage
-    costs accumulate between window inferences and flush into per-stage
-    histograms on every :meth:`~repro.core.detector.FallDetector.complete`,
-    so one observation per stage per window.  The end-to-end histogram
-    records the *sum* of the flushed stages — attribution sums to the
-    recorded end-to-end latency exactly, by construction.  All histograms
-    live off-registry (plain attributes, like ``FallDetector.latency``)
-    so enabling timing cannot perturb the ``push_block`` ≡ per-sample
-    oracle bit-identity suite, which compares registry snapshots.
+    Wall-clock attribution across the streaming pipeline's stages
+    (:data:`STAGES`): ingest/repair, orientation fusion, SOS filtering,
+    window assembly, CNN inference, fallback+decision.  One timer per
+    :class:`~repro.core.detector.LaneBank`: a serving engine owns one for
+    all its streams (seven histograms whatever the stream count), a
+    standalone detector one of its own.  Each stream's stage costs
+    accumulate in its row of the timer's pending array between window
+    inferences — a stacked ingest pass charges all its rows with one
+    vectorized add — and flush into the per-stage histograms with one
+    :meth:`~repro.obs.metrics.Histogram.observe_many` per stage: once per
+    inference round for the engine's completed windows, once per window
+    through :meth:`~repro.core.detector.FallDetector.complete` for a
+    standalone detector.  The end-to-end histogram records the *sum* of
+    each window's flushed stages — attribution sums to the recorded
+    end-to-end latency exactly, by construction.  All histograms live
+    off-registry (plain attributes, like ``FallDetector.latency``) so
+    enabling timing cannot perturb the ``push_block`` ≡ per-sample oracle
+    bit-identity suite, which compares registry snapshots.
 
 :class:`SLOConfig` / :class:`SLOTracker`
     Counting SLOs over the window stream.  A percentile objective is
@@ -45,6 +52,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .metrics import Histogram
 
 __all__ = [
@@ -64,6 +73,8 @@ __all__ = [
 #: pass (charged by ``complete``); ``decision`` the magnitude fallback,
 #: health replay, staging and debounce logic.
 STAGES = ("ingest", "fusion", "filter", "window", "inference", "decision")
+_STAGE_INDEX = {stage: i for i, stage in enumerate(STAGES)}
+_INFERENCE = _STAGE_INDEX["inference"]
 
 #: Stage costs are microseconds-to-milliseconds per window; reuse the
 #: detector's latency edges (10 µs resolution, ~84 s overflow tail).
@@ -71,16 +82,19 @@ _STAGE_BUCKETS_MS = tuple(0.01 * 2 ** i for i in range(23))
 
 
 class StageTimer:
-    """Accumulate-and-flush per-stage wall-clock attribution.
+    """Pending-and-flush per-stage wall-clock attribution for many streams.
 
-    The detector calls :meth:`add` with paired reads of ``clock`` around
-    each stage's code (or :meth:`add_ms` for externally measured costs
-    like the micro-batched inference latency); :meth:`flush` — called
-    once per completed window — observes each stage's accumulated
-    milliseconds into its histogram, observes their sum into the
-    end-to-end histogram and clears the accumulators.  ``clock`` is
-    injectable for deterministic tests; the default is
-    ``time.perf_counter``.
+    One timer serves every stream of a :class:`~repro.core.detector.LaneBank`
+    — a serving engine's whole fleet, or a standalone detector alone — so
+    it holds :data:`STAGES` histograms plus the end-to-end one however
+    many streams it times.  Each stream is one row of :attr:`pending`:
+    the stage costs (seconds) charged to it since its last completed
+    window.  A stacked ingest pass charges all its rows with one
+    vectorized add; :meth:`add` / :meth:`add_ms` charge one stage of one
+    row.  :meth:`flush` closes out the windows completed at a set of rows:
+    once per window for a standalone detector, once per inference round
+    for the engine.  ``clock`` is injectable for deterministic tests; the
+    default is ``time.perf_counter``.
     """
 
     def __init__(self, clock=None):
@@ -89,52 +103,103 @@ class StageTimer:
             stage: Histogram(buckets=_STAGE_BUCKETS_MS) for stage in STAGES
         }
         self.e2e = Histogram(buckets=_STAGE_BUCKETS_MS)
-        #: Cumulative flushed milliseconds per stage (the attribution
-        #: totals); pending accumulators hold the current window's costs.
-        self.totals_ms = dict.fromkeys(STAGES, 0.0)
-        self._pending_ms = dict.fromkeys(STAGES, 0.0)
+        #: ``(rows, len(STAGES))`` unflushed stage costs in seconds, in
+        #: :data:`STAGES` order; :meth:`reserve` grows it.
+        self.pending = np.zeros((1, len(STAGES)))
 
-    def add(self, stage: str, elapsed_s: float) -> None:
-        """Accumulate ``elapsed_s`` seconds (a paired-clock difference)."""
-        self._pending_ms[stage] += 1000.0 * elapsed_s
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows; new rows start with nothing
+        pending."""
+        if rows > len(self.pending):
+            grown = np.zeros((rows, len(STAGES)))
+            grown[:len(self.pending)] = self.pending
+            self.pending = grown
 
-    def add_ms(self, stage: str, ms: float) -> None:
-        """Accumulate an externally measured cost in milliseconds."""
-        self._pending_ms[stage] += float(ms)
+    def add(self, stage: str, elapsed_s: float, row: int = 0) -> None:
+        """Charge ``elapsed_s`` seconds (a paired-clock difference)."""
+        self.pending[row, _STAGE_INDEX[stage]] += elapsed_s
 
-    def pending_ms(self, stage: str) -> float:
-        """Milliseconds accumulated for ``stage`` since the last flush."""
-        return self._pending_ms[stage]
+    def add_ms(self, stage: str, ms: float, row: int = 0) -> None:
+        """Charge an externally measured cost in milliseconds."""
+        self.pending[row, _STAGE_INDEX[stage]] += float(ms) / 1000.0
 
-    def discard_pending(self) -> None:
-        """Drop unflushed accumulators (detector reset mid-window)."""
-        self._pending_ms = dict.fromkeys(STAGES, 0.0)
+    def pending_ms(self, stage: str, row: int = 0) -> float:
+        """Milliseconds charged to ``stage`` of ``row`` since its last
+        flush."""
+        return 1000.0 * float(self.pending[row, _STAGE_INDEX[stage]])
 
-    def flush(self) -> float:
-        """Close out one window: observe every stage and their sum.
+    def discard_pending(self, row: int | None = None) -> None:
+        """Drop ``row``'s unflushed costs (every row's when ``None``): a
+        stream reset mid-window."""
+        if row is None:
+            self.pending[:] = 0.0
+        else:
+            self.pending[row] = 0.0
 
-        Returns the end-to-end milliseconds observed.
+    def flush(self, rows=(0,), inference_ms: float = 0.0) -> np.ndarray:
+        """Close out one window per entry of ``rows``, in order.
+
+        Each window's stage costs are its row's pending costs plus
+        ``inference_ms`` (the batch latency every window of a round is
+        charged) for ``inference``; a row listed twice had everything
+        pending charged to its first window, so its later ones carry the
+        inference cost only.  Every stage histogram observes its column
+        with one :meth:`~repro.obs.metrics.Histogram.observe_many`, the
+        end-to-end histogram observes each window's row summed left to
+        right — attribution sums to the recorded end-to-end latency
+        exactly — and the flushed rows start over.  Returns the windows'
+        end-to-end milliseconds.
         """
-        total = 0.0
-        for stage in STAGES:
-            ms = self._pending_ms[stage]
-            self.histograms[stage].observe(ms)
-            self.totals_ms[stage] += ms
-            total += ms
-            self._pending_ms[stage] = 0.0
-        self.e2e.observe(total)
-        return total
+        rows = list(rows)
+        if len(rows) == 1:
+            # A standalone detector's window: a row view costs a fraction
+            # of the gather and scatter below.
+            pending = self.pending[rows[0]]
+            windows = [(1000.0 * pending).tolist()]
+            pending.fill(0.0)
+        else:
+            windows = (1000.0 * self.pending[rows]).tolist()
+            self.pending[rows] = 0.0
+        if len(set(rows)) < len(rows):
+            seen = set()
+            for costs, row in zip(windows, rows):
+                if row in seen:
+                    costs[:] = [0.0] * len(STAGES)
+                seen.add(row)
+        e2e = []
+        for costs in windows:
+            costs[_INFERENCE] += inference_ms
+            total = 0.0
+            for ms in costs:
+                total += ms
+            e2e.append(total)
+        for stage, column in zip(STAGES, zip(*windows)):
+            self.histograms[stage].observe_many(column)
+        self.e2e.observe_many(e2e)
+        return np.array(e2e)
 
     @property
     def windows(self) -> int:
         """Completed windows flushed through this timer."""
         return self.e2e.count
 
+    @property
+    def totals_ms(self) -> dict:
+        """Cumulative flushed milliseconds per stage (the attribution
+        totals)."""
+        return {stage: hist.sum for stage, hist in self.histograms.items()}
+
+    def reset(self) -> None:
+        """Forget every flushed statistic and every pending cost."""
+        for hist in self.histograms.values():
+            hist.reset()
+        self.e2e.reset()
+        self.discard_pending()
+
     def merge(self, other: "StageTimer") -> "StageTimer":
         """Fold another timer's *flushed* statistics in (fleet rollup)."""
         for stage in STAGES:
             self.histograms[stage].merge(other.histograms[stage])
-            self.totals_ms[stage] += other.totals_ms[stage]
         self.e2e.merge(other.e2e)
         return self
 
@@ -144,9 +209,8 @@ class StageTimer:
             "windows": self.e2e.count,
             "e2e": self.e2e.summary(),
             "stages": {
-                stage: dict(self.histograms[stage].summary(),
-                            total_ms=self.totals_ms[stage])
-                for stage in STAGES
+                stage: dict(hist.summary(), total_ms=hist.sum)
+                for stage, hist in self.histograms.items()
             },
         }
 

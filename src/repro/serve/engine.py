@@ -159,8 +159,13 @@ class ServeEngine:
         cfg = self.config
         self._capacity = cfg.queue_capacity     # read once per submit
         # Every stream's detector state lives in one row of this bank, so
-        # a round's stacked ingest indexes it instead of gathering.
-        self._bank = LaneBank(cfg.detector)
+        # a round's stacked ingest indexes it instead of gathering.  Its
+        # one stage timer (7 histograms however many streams) keeps each
+        # stream's pending costs in that stream's row, and each round's
+        # completed windows flush in one call (_infer_batch).
+        # `stage_clock` is injectable for deterministic tests.
+        self._bank = LaneBank(cfg.detector, stage_clock=stage_clock,
+                              round_flush=True)
         window_n = cfg.detector.window_samples
         self.model = self._resolve_backend(model, calibration, window_n)
         self._empty_batch = np.empty((0, window_n, 9))
@@ -189,13 +194,11 @@ class ServeEngine:
         #: Fleet alert pipeline (``None`` unless ``config.alerts``).
         self.alerts = (AlertManager(cfg.alerts, registry=self.registry)
                        if cfg.alerts is not None else None)
-        # Injectable clocks: `latency_clock` times the batched forward
-        # (swap in a synthetic clock to drive overload scenarios and
-        # burn-rate tests deterministically); `stage_clock` reaches each
-        # session's detector StageTimer.
+        # Injectable: `latency_clock` times the batched forward (swap in
+        # a synthetic clock to drive overload scenarios and burn-rate
+        # tests deterministically).
         self._clock = (latency_clock if latency_clock is not None
                        else time.perf_counter)
-        self._stage_clock = stage_clock
         #: SLO tracker (``None`` when ``config.slo`` is).  Driven on
         #: stream time, so burn-rate behaviour is deterministic.
         self.slo = (SLOTracker(cfg.slo, registry=self.registry,
@@ -282,7 +285,6 @@ class ServeEngine:
                 metric_prefix=f"{self.config.metric_prefix}/stream",
                 per_stream_metrics=self.config.per_stream_metrics,
                 flight=self.config.flight,
-                stage_clock=self._stage_clock,
                 queue_capacity=self._capacity,
             )
             self._bank.attach(session.detector)
@@ -421,11 +423,11 @@ class ServeEngine:
         lane raises is quarantined alone.  Then one batched forward runs
         for all staged windows across streams (an empty one when none
         came due).  Nothing enqueues during a step, so every queue is
-        empty after it.  The queue-depth gauge reports the deepest any
-        stream's queue got since the previous step (burst peaks
-        included), then settles to the post-drain 0 so tail readers see
-        steady-state 0 between bursts.  Returns ``(stream_id,
-        detection)`` pairs in processing order.
+        empty after it.  The queue-depth gauge is set once, to the
+        deepest any stream's queue got since the previous step (burst
+        peaks included), and keeps that reading until the next step, so
+        the exposition and the dashboard see a burst between rounds.
+        Returns ``(stream_id, detection)`` pairs in processing order.
         """
         detections: list[tuple[str, Detection]] = []
         # Queues only grow between steps, so their depth now is the
@@ -433,7 +435,6 @@ class ServeEngine:
         self._queue_depth_gauge.set(float(max(
             (len(s.queue) for s in self._sessions.values()), default=0)))
         self._infer_batch(self._advance_round(detections), detections)
-        self._queue_depth_gauge.set(0.0)
         self.rounds += 1
         now = self._stream_now
         if now is not None:
@@ -482,7 +483,8 @@ class ServeEngine:
         return staged_sessions
 
     def _infer_batch(self, staged_sessions, detections) -> None:
-        """One batched forward for every staged window, then fan-out."""
+        """One batched forward for every staged window, one stage-timer
+        flush for all of them, then fan-out."""
         pairs = [(session, request) for session in staged_sessions
                  for request in session.staged]
         for session in staged_sessions:
@@ -515,6 +517,10 @@ class ServeEngine:
         self._batch_size_hist.observe(len(pairs))
         if pairs:
             self._batch_latency_hist.observe(latency_ms)
+            if self._bank.stages is not None:
+                self._bank.stages.flush(
+                    [session.detector.stage_row for session, _ in pairs],
+                    latency_ms)
         for (session, request), prob in zip(pairs, probs):
             self._complete(session, request, prob, latency_ms, False,
                            detections)
@@ -524,7 +530,9 @@ class ServeEngine:
     def _infer_singly(self, pairs, detections) -> None:
         """Batch failed: isolate the poison by retrying one window at a
         time, so healthy streams still get their CNN verdicts."""
+        stages = self._bank.stages
         for session, request in pairs:
+            row = [session.detector.stage_row]
             t0 = self._clock()
             try:
                 with batch_invariant():
@@ -532,9 +540,13 @@ class ServeEngine:
                         self.model.predict(request.window[None])
                     ).reshape(-1)[0])
             except Exception:
+                if stages is not None:
+                    stages.flush(row)
                 self._complete(session, request, None, 0.0, True, detections)
                 continue
             latency_ms = 1000.0 * (self._clock() - t0)
+            if stages is not None:
+                stages.flush(row, latency_ms)
             self._inference_s += latency_ms / 1000.0
             self.windows_inferred += 1
             self._complete(session, request, prob, latency_ms, False,
@@ -659,21 +671,16 @@ class ServeEngine:
         return fleet
 
     def fleet_stages(self) -> StageTimer | None:
-        """Every stream's per-stage attribution merged into one timer.
+        """Every stream's per-stage attribution: the engine's one stage
+        timer.
 
-        Stage histograms live off-registry on the detectors (see
-        :class:`repro.obs.StageTimer`), so like :meth:`fleet_latency`
-        this is an exact merge.  ``None`` when stage timing is disabled.
+        Each stream's detector charges its row of it, and every round
+        flushes the round's completed windows in one call, so its
+        histograms (off-registry, see :class:`repro.obs.StageTimer`) hold
+        every stream's flushed windows — the live timer, not a copy.
+        ``None`` when stage timing is disabled.
         """
-        fleet = None
-        for session in self._sessions.values():
-            stages = session.detector.stages
-            if stages is None:
-                continue
-            if fleet is None:
-                fleet = StageTimer()
-            fleet.merge(stages)
-        return fleet
+        return self._bank.stages
 
     def slo_report(self) -> dict | None:
         """SLO + budget-attribution view: error-budget status per

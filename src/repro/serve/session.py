@@ -135,7 +135,6 @@ class StreamSession:
         metric_prefix: str = "serve/stream",
         per_stream_metrics: bool = True,
         flight=None,
-        stage_clock=None,
         queue_capacity: int | None = None,
     ):
         prefix = (f"{metric_prefix}/{stream_id}" if per_stream_metrics
@@ -147,7 +146,7 @@ class StreamSession:
                          if flight is not None else None)
         self.detector = FallDetector(
             model, config, registry=registry, metric_prefix=prefix,
-            recorder=self.recorder, stage_clock=stage_clock,
+            recorder=self.recorder,
         )
         #: Queued rows, oldest first; appending to a full queue drops
         #: the oldest (the engine counts it as shed).

@@ -213,8 +213,13 @@ class ScalarDetector(FallDetector):
         """One sample's decision on the live ring buffer; with ``collect``
         ``None`` a staged window runs through the model inline."""
         staged = []
+        st = self.stages
+        if st is not None:
+            t0 = st.clock()
         hit = self._decide(self._buffer if due else None, fallback_hit,
                            time_s, self._filled >= self._window_n, staged)
+        if st is not None:
+            st.add("decision", st.clock() - t0)
         if collect is not None:
             collect.extend(staged)
             return hit

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.alerts import AlertConfig, EscalationConfig
-from repro.core.detector import DetectorConfig
+from repro.core.detector import HEALTH_STATES, Detection, DetectorConfig
 from repro.experiments import MagnitudeProbeModel
 from repro.faults import builtin_scenarios
 from repro.fleet import FleetConfig, FleetFront
@@ -694,7 +694,8 @@ class TestFailover:
     def test_evacuation_onto_a_restarting_shard_waits_for_its_restart(self):
         """A shard fails permanently while its only survivor is down
         awaiting restart: its streams and buffered rows move onto the
-        survivor's roster, and the survivor's restart adopts them."""
+        survivor's roster, and the survivor's restart adopts them,
+        counting each rebuilt session once."""
         front = FleetFront(
             MagnitudeProbeModel(),
             FleetConfig(n_shards=2, serve=_serve_config(),
@@ -718,6 +719,7 @@ class TestFailover:
             for sid in sids:
                 assert front.submit(sid, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0),
                                     t=0.0)
+            rehomed = front.rehomed_streams
             crash(0)                        # down, restart scheduled
             crash(1)                        # restart budget spent
             assert front._shards[1].failed
@@ -730,6 +732,9 @@ class TestFailover:
         assert front.dropped_samples == 0
         assert set(front.stream_report()) == set(sids)
         assert front.shard_reports()[0]["samples_in"] == len(sids)
+        # Shard 0's restart rebuilt all 8 sessions, the evacuated ones
+        # among them; nothing else was re-homed.
+        assert front.rehomed_streams - rehomed == len(sids)
 
     def test_heartbeat_detects_dead_worker(self, front):
         assert front.heartbeat() == []
@@ -812,6 +817,33 @@ class TestPipeFormat:
             assert run_sids == homed
             assert run_lens == [HOP] * len(homed)
             assert len(block) == HOP * len(homed)
+
+    def test_round_reply_is_ok_seq_results(self, front):
+        """A shard answers a round with ``("ok", seq, results)`` and
+        nothing else: the detections with each stream's health."""
+        replies = []
+        recv = front._recv
+
+        def spy(shard):
+            reply, timed_out = recv(shard)
+            replies.append(reply)
+            return reply, timed_out
+        front._recv = spy
+        streams = _streams(n_streams=6)
+        for sid, (accel, gyro, t) in streams.items():
+            front.submit_block(sid, accel, gyro, t)
+        front.pump()
+        rounds = [r for r in replies if r[0] == "ok"]
+        assert len(rounds) == 2
+        found = []
+        for reply in rounds:
+            assert len(reply) == 3
+            _, seq, results = reply
+            assert type(seq) is int and type(results) is list
+            for stream_id, detection, health in results:
+                assert stream_id in streams and health in HEALTH_STATES
+                found.append(detection)
+        assert found and all(type(d) is Detection for d in found)
 
 
 class _SpanningProbe(MagnitudeProbeModel):

@@ -1,4 +1,5 @@
-"""Property tests for ``Histogram.merge`` and ``Histogram.observe``.
+"""Property tests for ``Histogram.merge``, ``Histogram.observe`` and
+``Histogram.observe_many``.
 
 The fleet front's exactness claim — per-shard histograms shipped back at
 stop and merged at the front equal one histogram observing everything —
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import _BISECT_MAX, Histogram, MetricsRegistry
 
 EDGES = (0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -148,3 +149,51 @@ def test_observe_buckets_like_a_linear_scan(values):
 def test_nan_lands_in_the_overflow_bucket():
     hist = _observe_all([math.nan, EDGES[0], -math.inf])
     assert hist._counts == [2, 0, 0, 0, 0, 1]
+
+
+def _strict(hist: Histogram) -> str:
+    """The snapshot, compared to the bit: ``repr`` tells NaN and -0.0
+    apart, where ``==`` would not."""
+    return repr(hist.snapshot())
+
+
+#: Exactly summable in any order: dyadic values (edges among them), ±0,
+#: ±inf and NaN.
+_DYADIC = st.one_of(
+    st.integers(-32 * 16, 32 * 16).map(lambda k: k / 16.0),
+    st.sampled_from(list(EDGES) + [0.0, -0.0, math.inf, -math.inf,
+                                   math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_SPECIAL, _DYADIC, st.floats(allow_nan=True)),
+                max_size=3 * _BISECT_MAX),
+       st.integers(0, 3 * _BISECT_MAX))
+def test_observe_many_equals_observe_one_at_a_time(values, cut):
+    """Any list — empty, short enough to bisect, long enough for the
+    numpy binning, split into two calls anywhere — leaves the snapshot
+    ``observe`` one value at a time leaves: buckets (NaN in overflow),
+    count, min, max and the left-to-right sum."""
+    many = Histogram(buckets=EDGES)
+    many.observe_many(values[:cut])
+    many.observe_many(values[cut:])
+    assert _strict(many) == _strict(_observe_all(values))
+    whole = Histogram(buckets=EDGES)
+    whole.observe_many(values)
+    assert _strict(whole) == _strict(many)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_DYADIC, max_size=2 * _BISECT_MAX),
+       st.lists(_DYADIC, max_size=2 * _BISECT_MAX))
+def test_observe_many_histograms_merge_like_one(left, right):
+    """Merging two ``observe_many`` histograms equals one histogram
+    observing both lists (dyadic values, so the sums are exact)."""
+    merged = Histogram(buckets=EDGES)
+    merged.observe_many(left)
+    other = Histogram(buckets=EDGES)
+    other.observe_many(right)
+    merged.merge(other)
+    one = Histogram(buckets=EDGES)
+    one.observe_many(left + right)
+    assert _strict(merged) == _strict(one)

@@ -11,6 +11,7 @@ synthetic stream time, and the serving-engine surfacing
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_stage_timer_flush_observes_stage_sum_into_e2e():
     timer.discard_pending()
     assert timer.windows == 1
     assert timer.totals_ms["filter"] == 0.0
+
+
+def test_stage_timer_flush_charges_a_repeated_row_once():
+    """A stream completing two windows in one round: its pending costs
+    go to its first window, the batch latency to both."""
+    timer = StageTimer(clock=lambda: 0.0)
+    timer.reserve(3)
+    timer.add_ms("filter", 2.0, row=1)
+    timer.add_ms("window", 1.0, row=2)
+    e2e = timer.flush([1, 2, 1], inference_ms=0.5)
+    assert e2e.tolist() == [2.5, 1.5, 0.5]
+    assert timer.histograms["inference"].count == 3
+    assert timer.totals_ms["filter"] == pytest.approx(2.0)
+    assert not timer.pending.any()
 
 
 def _drive_detectors(mode, n_lanes=1):
@@ -331,6 +346,112 @@ def test_engine_slo_report_attribution_and_liveness():
     stages = engine.fleet_stages()
     assert stages.windows == report["stages"]["windows"] > 0
     assert report["latency_budget_ms"] == pytest.approx(150.0)
+
+
+def _timed_engine(n_streams, duration_s=3.0):
+    """An engine on an injected stage clock, and ``n_streams`` streams
+    for :func:`_feed_hops`."""
+    engine = ServeEngine(MagnitudeProbeModel(), ServeConfig(detector=CFG),
+                         registry=MetricsRegistry(), stage_clock=_TickClock())
+    return engine, {f"s{i:03d}": _stream(duration_s, index=i)
+                    for i in range(n_streams)}
+
+
+def _feed_hops(engine, streams):
+    """Hop-sized blocks of every stream, one round per hop (same-length
+    blocks: the stacked pass)."""
+    hop = CFG.hop_samples
+    for lo in range(0, len(next(iter(streams.values()))[2]), hop):
+        for sid, (accel, gyro, t) in streams.items():
+            engine.submit_block(sid, accel[lo:lo + hop], gyro[lo:lo + hop],
+                                t[lo:lo + hop])
+        engine.step()
+
+
+@pytest.mark.parametrize("n_streams", [_STACK_MIN_LANES + 1, 2])
+def test_engine_stage_timer_contract(n_streams):
+    """One timer per engine, one flush per round: every inferred window
+    is observed once per stage and once end to end, each window's stage
+    row sums to its recorded e2e exactly, and the stage totals agree with
+    the per-window sums — to a relative 1e-9, since the shared timer adds
+    the same costs in another order than per-window sums do.  Stacked
+    rounds and lanes run alone (below ``_STACK_MIN_LANES``) alike."""
+    flushed = []
+    real_flush = StageTimer.flush
+
+    def spy(timer, *args, **kwargs):
+        e2e = real_flush(timer, *args, **kwargs)
+        flushed.append(e2e)
+        return e2e
+
+    observed = {}
+
+    def recording(name, hist):
+        real = hist.observe_many
+
+        def observe_many(values):
+            observed.setdefault(name, []).extend(np.asarray(values).tolist())
+            real(values)
+        return observe_many
+
+    engine, streams = _timed_engine(n_streams)
+    timer = engine.fleet_stages()
+    for name, hist in [*timer.histograms.items(), ("e2e", timer.e2e)]:
+        hist.observe_many = recording(name, hist)
+    StageTimer.flush = spy
+    try:
+        _feed_hops(engine, streams)
+    finally:
+        StageTimer.flush = real_flush
+    windows = engine.windows_inferred
+    assert windows > n_streams
+    # One flush per round that inferred anything, every window in one.
+    assert 0 < len(flushed) <= engine.rounds
+    assert sum(len(e2e) for e2e in flushed) == windows
+    assert timer.e2e.count == windows
+    for stage in STAGES:
+        assert timer.histograms[stage].count == windows
+        assert len(observed[stage]) == windows
+    for w in range(windows):
+        row = 0.0
+        for stage in STAGES:
+            row += observed[stage][w]
+        assert row == observed["e2e"][w]
+    per_window = [math.fsum(observed[stage]) for stage in STAGES]
+    for stage, total in zip(STAGES, per_window):
+        assert timer.totals_ms[stage] == pytest.approx(total, rel=1e-9)
+        assert timer.totals_ms[stage] >= 0.0
+    assert timer.totals_ms["fusion"] > 0 and timer.totals_ms["filter"] > 0
+    assert math.fsum(per_window) == pytest.approx(
+        math.fsum(observed["e2e"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_streams", [_STACK_MIN_LANES, 4 * _STACK_MIN_LANES])
+def test_engine_holds_one_stage_timer_whatever_its_streams(n_streams):
+    engine, streams = _timed_engine(n_streams, duration_s=1.0)
+    _feed_hops(engine, streams)
+    timer = engine.fleet_stages()
+    assert len(timer.histograms) + 1 == 7       # six stages plus e2e
+    assert all(engine.session(sid).detector.stages is timer
+               for sid in streams)
+    assert timer.windows == engine.windows_inferred > 0
+
+
+def test_stream_reset_discards_only_its_own_pending_costs():
+    engine, streams = _timed_engine(_STACK_MIN_LANES + 1, duration_s=1.05)
+    _feed_hops(engine, streams)
+    timer = engine.fleet_stages()
+    rows = {sid: engine.session(sid).detector.stage_row for sid in streams}
+    # The feed ends mid-window: every stream has costs pending.
+    assert all(timer.pending[row].sum() > 0 for row in rows.values())
+    before = timer.pending.copy()
+    windows = timer.windows
+    engine.session("s001").detector.reset()
+    assert not timer.pending[rows["s001"]].any()
+    for sid, row in rows.items():
+        if sid != "s001":
+            np.testing.assert_array_equal(timer.pending[row], before[row])
+    assert timer.windows == windows
 
 
 def test_engine_slo_disabled_by_config_none():

@@ -236,28 +236,24 @@ def test_malformed_sample_is_refused_at_submit_and_counted(accel):
 
 
 def test_queue_depth_gauge_reports_burst_peak_then_steady_state():
-    """The gauge exposes the deepest burst, then settles to 0 post-drain."""
+    """Between steps the registry gauge reads the last round's pre-drain
+    peak (a burst shows on /metrics and the dashboard), and a round with
+    nothing queued brings it back to 0."""
     engine = _engine(_ConstantModel())
-    observed = []
-    real_gauge = engine._queue_depth_gauge
-
-    class _SpyGauge:
-        def set(self, value):
-            observed.append(value)
-            real_gauge.set(value)
-
-    engine._queue_depth_gauge = _SpyGauge()
+    gauge = engine.registry.gauge("serve/queue_depth")
     accel = np.array([0.0, 0.0, 1.0])
     gyro = np.zeros(3)
     for i in range(10):
         engine.submit("s0", accel, gyro, i / 100.0)
+    for i in range(3):
+        engine.submit("s1", accel, gyro, i / 100.0)
     engine.step()
-    # Pre-drain reading is the burst peak; the final reading is the
-    # post-drain depth, so tail readers between bursts see 0, not a
-    # stale pre-drain depth.
-    assert observed[0] == 10.0
-    assert observed[-1] == 0.0
-    assert real_gauge.value == 0.0
+    assert gauge.value == 10.0
+    engine.submit("s1", accel, gyro, 0.1)
+    engine.step()
+    assert gauge.value == 1.0
+    engine.step()
+    assert gauge.value == 0.0
 
 
 def test_max_streams_rejects_new_streams():
