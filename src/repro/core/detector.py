@@ -9,7 +9,7 @@ ring buffer one window long and runs the CNN every hop.
 Unlike the offline pipeline, the live path cannot assume a perfect
 stream.  The one ingest path — :func:`ingest_lanes`, which takes many
 streams' blocks at once; :meth:`FallDetector.push_block` is its
-one-lane call, and ``push``/``push_collect`` run it with a single row —
+one-lane call, and ``push`` runs it with a single row —
 therefore validates and repairs every sample (NaN/Inf → hold-last, rail
 clamping, exact-repeat streaks for stuck channels and dead sensors),
 bridges short timestamp gaps by interpolation, resets and re-primes its
@@ -691,9 +691,9 @@ class FallDetector:
         if not preserve_latency_stats:
             self.latency.reset()
             self._deadline_violations = 0
-            if self.stages is not None and self._bank.size == 1:
-                # A timer of its own starts over too; a shared one keeps
-                # the other streams' statistics.
+            if self.stages is not None and not self._bank.round_flush:
+                # A timer of its own starts over too; an engine's keeps
+                # every stream's statistics, whatever its stream count.
                 self.stages.reset()
         if self.recorder is not None:
             self.recorder.note_reset()
@@ -1108,26 +1108,6 @@ class FallDetector:
         if not detections:
             return None
         return min(detections, key=attrgetter("sample_index"))
-
-    def push_collect(
-        self, accel_g, gyro_dps, t: float | None = None,
-    ) -> tuple[Detection | None, list[WindowRequest]]:
-        """:meth:`push` with deferred CNN inference (micro-batching hook):
-        a one-row :meth:`push_block`.
-
-        Every due window is returned as a staged :class:`WindowRequest` —
-        the caller batches requests across streams, runs one
-        ``model.predict``, and feeds each result to :meth:`complete`,
-        which finishes the decision (deadline accounting, shedding,
-        debounce).  Complete each returned request, in order, before the
-        next push/``reset`` on this detector.  Detections that need no
-        model — the fallback path — are returned directly (the first one,
-        when a gap fill holds several).  Recorder events and shedding
-        follow the orderings described under :meth:`push`.
-        """
-        detections, requests = self._push_lane(
-            accel_g, gyro_dps, None if t is None else (t,))
-        return (detections[0] if detections else None), requests
 
     def push_block(
         self, accel_g, gyro_dps, t=None,

@@ -17,14 +17,19 @@ Routing & determinism
     ``tests/test_fleet.py``).
 
 Backpressure
-    The front buffers each stream on its own, under the engine's rule:
-    ``serve.queue_capacity`` rows, the *oldest* shed first (freshest
-    data wins, as everywhere else in the serve path) and counted on
-    ``fleet/shed_samples``, so a bursting stream sheds only its own rows
-    and a pump cadence sheds exactly what a single engine's step cadence
-    would.  A shard admits at most ``serve.max_streams`` streams, as its
-    engine does; the front refuses the rest and counts their samples in
-    ``dropped_samples``.  ``submit`` never raises into the caller.
+    The front is the engine's front door: both subclass
+    :class:`~repro.serve.session.FrontDoor`, whose ``submit``,
+    ``submit_block`` and enqueue step buffer each stream on its own
+    under ``serve.queue_capacity`` rows, the *oldest* shed first
+    (freshest data wins, as everywhere else in the serve path), so a
+    bursting stream sheds only its own rows and a pump cadence sheds
+    exactly what a single engine's step cadence would.  The front's two
+    hooks are all that differ: ``_shed`` counts shed rows on
+    ``fleet/shed_samples``, and ``_admit`` homes a new stream through
+    :meth:`FleetFront.shard_for` — a shard admits at most
+    ``serve.max_streams`` streams, as its engine does, and the front
+    refuses the rest and counts their samples in ``dropped_samples``.
+    ``submit`` never raises into the caller.
 
 Supervision & failover
     Every pump doubles as a heartbeat: a worker that crashed (dead
@@ -64,12 +69,7 @@ from ..obs import (
 )
 from ..obs.trace import SpanRecord
 from ..serve.engine import ServeConfig
-from ..serve.session import (
-    block_length,
-    latest_timestamp,
-    sample_block,
-    sample_row,
-)
+from ..serve.session import FrontDoor
 from ..utils import Backoff
 from .worker import shard_main
 
@@ -171,7 +171,7 @@ class _Shard:
         return self.process is not None
 
 
-class FleetFront:
+class FleetFront(FrontDoor):
     """Sharded, supervised serving front over N worker processes.
 
     Usage::
@@ -196,21 +196,18 @@ class FleetFront:
             "fork" if "fork" in methods else "spawn")
         self._ship_trace = tracing_enabled()
         cfg = self.config
-        self._capacity = cfg.serve.queue_capacity
-        # The buffer of every homed stream (also in its shard's
-        # ``queues``): one lookup finds where a submit goes.
-        self._queues: dict[str, deque] = {}
+        # The buffer of every homed stream is in ``_queues`` (and in its
+        # shard's ``queues``): one lookup finds where a submit goes.
+        super().__init__(cfg.serve.queue_capacity)
         # Each stream's latest finite timestamp in a round a worker
         # acknowledged: where a rebuilt session's clock resumes.
         self._acked_t: dict[str, float] = {}
         self._health: dict[str, str] = {}
         # Hot-path totals as plain ints, synced to registry counters once
-        # per pump — the same discipline as ServeEngine.
-        self.samples_in = 0
+        # per pump — the same discipline as ServeEngine.  The front
+        # door's ``dropped_samples`` counts samples refused as malformed
+        # or for a stream no shard will home (see :meth:`shard_for`).
         self.shed_samples = 0
-        #: Samples not accepted: refused as malformed, or for a stream
-        #: no shard will home (see :meth:`shard_for`).
-        self.dropped_samples = 0
         self.redelivered_samples = 0
         self.rounds = 0
         self.detections = 0
@@ -229,8 +226,6 @@ class FleetFront:
         self._depth_gauge = self.registry.gauge("fleet/queue_depth")
         self.alerts = (AlertManager(cfg.alerts, registry=self.registry)
                        if cfg.alerts is not None else None)
-        # Latest finite timestamp any sample carried (-inf before one).
-        self._latest_t = -_INF
         #: Stream time of the latest completed pump — the liveness stamp
         #: ``/healthz`` reports (mirrors ``ServeEngine.last_round_t``).
         self.last_round_t: float | None = None
@@ -272,82 +267,19 @@ class FleetFront:
             maxlen=self._capacity)
         return home.index
 
-    def submit(self, stream_id: str, accel_g, gyro_dps,
-               t: float | None = None) -> bool:
-        """Buffer one sample; True when it is queued, False when it is
-        refused.
+    def _admit(self, stream_id: str, n: int) -> deque | None:
+        """The front door's admit hook: a new stream's buffer on its
+        home shard, or ``None`` (rows dropped) when no shard will home
+        it (see :meth:`shard_for`)."""
+        if self.shard_for(stream_id) is None:
+            self.dropped_samples += n
+            return None
+        return self._queues[stream_id]
 
-        Never raises into the caller: a full stream buffer sheds its
-        *oldest* sample to make room (counted in ``shed_samples``), while
-        a malformed sample (not three numeric readings per sensor, or a
-        non-numeric timestamp) and one for a stream no shard will home
-        are refused and counted in ``dropped_samples``.
-        """
-        # The engine's cheap path: ``tolist`` on the (3,) float ndarrays
-        # callers pass copies the readings out as Python floats.  Any
-        # other shape or dtype goes through sample_row, the engine's
-        # definition of a well-formed sample.
-        try:
-            if accel_g.dtype.kind != "f" or gyro_dps.dtype.kind != "f":
-                raise TypeError("not float readings")
-            ax, ay, az = accel_g.tolist()
-            gx, gy, gz = gyro_dps.tolist()
-            if ax.__class__ is list or gx.__class__ is list:
-                raise ValueError("not a (3,) reading")
-            t = math.nan if t is None else float(t)
-            row = (ax, ay, az, gx, gy, gz, t)
-        except Exception:
-            row = sample_row(accel_g, gyro_dps, t)
-            if row is None:
-                self.dropped_samples += 1
-                return False
-            t = row[6]
-        queue = self._queue_for(stream_id, 1, t)
-        if queue is None:
-            return False
-        queue.append(row)
-        return True
-
-    def submit_block(self, stream_id: str, accel_g, gyro_dps,
-                     t=None) -> int:
-        """Buffer ``n`` samples of one stream (shaped as for
-        :meth:`ServeEngine.submit_block
-        <repro.serve.ServeEngine.submit_block>`); returns how many of
-        them are queued.  Never raises: a block longer than
-        ``serve.queue_capacity`` keeps its freshest rows, and a malformed
-        block (:func:`~repro.serve.session.sample_block`) or one for a
-        stream no shard will home is refused whole, every row counted in
-        ``dropped_samples``.
-        """
-        block = sample_block(accel_g, gyro_dps, t)
-        if block is None:
-            self.dropped_samples += block_length(accel_g)
-            return 0
-        rows = block.tolist()
-        queue = self._queue_for(stream_id, len(rows), latest_timestamp(rows))
-        if queue is None:
-            return 0
-        queue.extend(rows)
-        return min(len(rows), self._capacity)
-
-    def _queue_for(self, stream_id: str, n: int, t: float) -> deque | None:
-        """Both front doors' one buffering step, the engine's
-        ``_queue_for`` rule: the buffer ``n`` new rows of ``stream_id`` go
-        into (counting them, the rows it will shed for them, and the
-        fleet clock's advance to their latest timestamp ``t``), or
-        ``None`` when no shard will home the stream (rows dropped)."""
-        queue = self._queues.get(stream_id)
-        if queue is None:
-            if self.shard_for(stream_id) is None:
-                self.dropped_samples += n
-                return None
-            queue = self._queues[stream_id]
-        if len(queue) + n > self._capacity:
-            self.shed_samples += len(queue) + n - self._capacity
-        self.samples_in += n
-        if _INF > t > self._latest_t:   # NaN and inf are missing times
-            self._latest_t = t
-        return queue
+    def _shed(self, stream_id: str, n: int) -> None:
+        """The front door's shed hook: a full buffer's dropped rows
+        count in ``shed_samples``."""
+        self.shed_samples += n
 
     # ------------------------------------------------------------------
     # the supervisor/pump loop
@@ -401,8 +333,9 @@ class FleetFront:
                 self._health[stream_id] = health
                 detections.append((stream_id, detection))
         self.rounds += 1
-        if self._latest_t > -_INF:
-            self.last_round_t = self._latest_t
+        now = self._stream_now
+        if now is not None:
+            self.last_round_t = now
         if self.alerts is not None:
             self._feed_alerts(detections)
         self._sync_metrics()
@@ -633,8 +566,9 @@ class FleetFront:
                 source=detection.source,
                 health=self._health.get(stream_id, "healthy"),
             )
-        if self._latest_t > -_INF:
-            self.alerts.tick(self._latest_t)
+        now = self._stream_now
+        if now is not None:
+            self.alerts.tick(now)
 
     def _sync_metrics(self) -> None:
         self._shards_gauge.set(float(sum(s.up for s in self._shards)))

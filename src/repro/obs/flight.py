@@ -467,9 +467,9 @@ def replay_incident(incident, model="recorded") -> dict:
         if kind == "reset":
             detector.reset()
         elif kind == "sample":
-            _, requests = detector.push_collect(
+            _, requests = detector.push_block(
                 np.array(event["accel"]), np.array(event["gyro"]),
-                t=event["t"],
+                [event["t"]],
             )
             for request in requests:
                 if wi >= len(rec_windows):

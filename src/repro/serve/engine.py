@@ -9,6 +9,12 @@ session's filter/ring-buffer state, and collects *all* windows that come
 due across sessions into **one** batched ``Model.predict`` call per
 inference round.
 
+Samples come in through :class:`~repro.serve.session.FrontDoor`, the
+front door :class:`~repro.fleet.FleetFront` shares: the engine supplies
+only its two hooks, admission (a new stream gets a session unless it
+is quarantined or beyond ``max_streams``) and shed accounting (a full
+queue's oldest rows count in ``dropped_samples``).
+
 Correctness contract
 --------------------
 * **Isolation** — every stream owns its full detector state; a stream
@@ -34,7 +40,6 @@ deadline violations are exported through :mod:`repro.obs`.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,13 +59,7 @@ from ..obs import (
     get_registry,
     stage_attribution,
 )
-from .session import (
-    StreamSession,
-    block_length,
-    latest_timestamp,
-    sample_block,
-    sample_row,
-)
+from .session import FrontDoor, StreamSession
 
 __all__ = ["ServeConfig", "ServeEngine"]
 
@@ -70,7 +69,6 @@ _logger = get_logger(__name__)
 #: dominate, then powers of two up to 4096 windows.
 _BATCH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _LATENCY_BUCKETS_MS = tuple(0.01 * 2 ** i for i in range(23))
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ class ServeConfig:
             )
 
 
-class ServeEngine:
+class ServeEngine(FrontDoor):
     """Cross-stream micro-batching scheduler around one window model.
 
     Usage::
@@ -150,14 +148,13 @@ class ServeEngine:
                 "ServeEngine needs a window model; a fallback-only "
                 "deployment does not benefit from batching"
             )
-        self.config = config or ServeConfig()
+        self.config = cfg = config or ServeConfig()
+        # The queue of every stream in service is in ``_queues`` (a
+        # quarantined stream leaves it): one lookup finds where a submit
+        # goes.
+        super().__init__(cfg.queue_capacity)
         self.registry = registry if registry is not None else get_registry()
         self._sessions: dict[str, StreamSession] = {}
-        # The queue of every stream in service (a quarantined stream
-        # leaves it): one lookup finds where a submit goes.
-        self._queues: dict[str, deque] = {}
-        cfg = self.config
-        self._capacity = cfg.queue_capacity     # read once per submit
         # Every stream's detector state lives in one row of this bank, so
         # a round's stacked ingest indexes it instead of gathering.  Its
         # one stage timer (7 histograms however many streams) keeps each
@@ -181,8 +178,6 @@ class ServeEngine:
         # Hot-path totals accumulate as plain ints and sync to registry
         # counters once per step — per-sample lock traffic would tax the
         # very throughput this engine exists to buy.
-        self.samples_in = 0
-        self.dropped_samples = 0
         self.rejected_streams = 0
         self.windows_inferred = 0
         self.batches = 0
@@ -208,9 +203,6 @@ class ServeEngine:
         #: Stream time of the latest completed step — the liveness stamp
         #: ``/healthz`` reports so "serving" and "stuck" look different.
         self.last_round_t: float | None = None
-        # Latest finite timestamp any sample carried (-inf before one
-        # does): one chained comparison per sample keeps it current.
-        self._latest_t = -math.inf
 
     # ------------------------------------------------------------------
     # backend
@@ -292,121 +284,24 @@ class ServeEngine:
             self._queues[stream_id] = session.queue
         return session
 
-    def submit(self, stream_id: str, accel_g, gyro_dps,
-               t: float | None = None) -> bool:
-        """Enqueue one sample; True when it is queued, False when it is
-        refused (a malformed sample, a stream beyond ``max_streams``, or
-        a quarantined one).
-
-        Never raises on load: an unknown stream beyond ``max_streams`` is
-        rejected and counted, a full queue sheds its *oldest* sample to
-        make room (the new one is still queued), and a quarantined
-        stream's samples are dropped.  The sample is copied into the
-        queue, so a caller may reuse its buffers at once.  Nor does it
-        raise on a malformed sample (not three numeric readings per
-        sensor, or a non-numeric timestamp): that is refused and counted
-        in ``dropped_samples``, and the stream keeps serving.
-        """
-        # Copy the readings into one flat row of floats, so a caller may
-        # reuse its buffers: ``tolist`` on the (3,) ndarrays callers
-        # pass is the cheap path; any other shape or type goes through
-        # sample_row, the one definition of a well-formed sample, which
-        # turns a malformed one into None, refused here.  ``tolist``
-        # nests a list per row for an array of two or more dimensions,
-        # and testing the first reading for one is cheaper than ``ndim``.
+    def _admit(self, stream_id: str, n: int) -> deque | None:
+        """The front door's admit hook: a new stream's queue, or ``None``
+        for a quarantined stream (its rows counted as dropped) or one
+        beyond ``max_streams`` (counted as rejected)."""
+        if stream_id in self._sessions:             # quarantined
+            self.dropped_samples += n
+            return None
         try:
-            ax, ay, az = accel_g.tolist()
-            gx, gy, gz = gyro_dps.tolist()
-            if ax.__class__ is list or gx.__class__ is list:
-                raise ValueError("not a (3,) reading")
-            t = math.nan if t is None else float(t)
-            row = (ax, ay, az, gx, gy, gz, t)
-        except Exception:
-            row = sample_row(accel_g, gyro_dps, t)
-            if row is None:
-                self.dropped_samples += 1
-                return False
-            t = row[6]
-        queue = self._queue_for(stream_id, 1, t)
-        if queue is None:
-            return False
-        queue.append(row)
-        return True
-
-    def submit_block(self, stream_id: str, accel_g, gyro_dps,
-                     t=None) -> int:
-        """Enqueue ``n`` samples of one stream (``accel_g`` and
-        ``gyro_dps`` shaped ``(n, 3)``, ``t`` shaped ``(n,)`` or ``None``,
-        NaN or ``None`` marking a missing timestamp); returns how many of
-        them are queued.
-
-        The block twin of :meth:`submit`, through the same enqueue step:
-        any split of a stream into blocks yields the detections that
-        per-sample submits of the same samples do.  Never raises: a
-        block longer than ``queue_capacity`` keeps its freshest rows
-        (and sheds everything queued before it), and a refused block
-        returns 0, every row counted — rejected for a new stream beyond
-        ``max_streams``, dropped for a quarantined stream, and dropped
-        whole when it is malformed (see
-        :func:`~repro.serve.session.sample_block`).
-        """
-        block = sample_block(accel_g, gyro_dps, t)
-        if block is None:
-            self.dropped_samples += block_length(accel_g)
-            return 0
-        rows = block.tolist()
-        n = len(rows)
-        queue = self._queue_for(stream_id, n, latest_timestamp(rows))
-        if queue is None:
-            return 0
-        queue.extend(rows)
-        return min(n, self._capacity)
-
-    def _queue_for(self, stream_id: str, n: int, t: float) -> deque | None:
-        """Both front doors' one enqueue step: the queue ``n`` new rows
-        of ``stream_id`` go into, or ``None`` when they are refused.
-
-        Refusal counts the rows: as rejected for a new stream beyond
-        ``max_streams``, as dropped for a quarantined one.  Otherwise
-        this counts them in ``samples_in``, counts the oldest rows the
-        bounded queue will shed to make room for them, and advances the
-        stream clock to ``t`` (the rows' latest timestamp) when it is
-        finite; the caller then appends the rows.  Queues only grow
-        between steps, so :meth:`step` reads their peak depth off them
-        and nothing here tracks it.
-        """
-        try:
-            queue = self._queues[stream_id]
+            return self.session(stream_id).queue
         except KeyError:
-            if stream_id in self._sessions:         # quarantined
-                self.dropped_samples += n
-                return None
-            try:
-                queue = self.session(stream_id).queue
-            except KeyError:
-                self.rejected_streams += n
-                return None
-        if len(queue) + n > self._capacity:
-            # Computed only when rows are shed: keeping the store off
-            # the common path measured ~4% of a per-sample submit.
-            shed = len(queue) + n - self._capacity
-            self._sessions[stream_id].dropped_samples += shed
-            self.dropped_samples += shed
-        self.samples_in += n
-        if _INF > t > self._latest_t:
-            # Fleet stream clock: drives alert confirm-window expiry and
-            # auto-resolve even on rounds with no detections.  A
-            # non-finite timestamp is "missing" to the detector and never
-            # advances the clock the SLO windows are evaluated at (NaN
-            # and inf fail the comparison).
-            self._latest_t = t
-        return queue
+            self.rejected_streams += n
+            return None
 
-    @property
-    def _stream_now(self) -> float | None:
-        """The stream clock: the latest finite timestamp submitted, or
-        ``None`` before any sample carried one."""
-        return self._latest_t if self._latest_t > -math.inf else None
+    def _shed(self, stream_id: str, n: int) -> None:
+        """The front door's shed hook: a full queue's dropped rows count
+        in the engine's and the stream's ``dropped_samples``."""
+        self._sessions[stream_id].dropped_samples += n
+        self.dropped_samples += n
 
     # ------------------------------------------------------------------
     # scheduling

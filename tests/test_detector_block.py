@@ -1,7 +1,7 @@
 """``push_block`` ≡ the per-sample oracle — the bit-identity property suite.
 
 ``FallDetector.push_block`` is the detector's one ingest path (``push``
-and ``push_collect`` are one-row calls of it).  It promises
+is a one-row call of it).  It promises
 *bit-identical* results to the per-sample reference pipeline in
 ``tests/detector_oracle.py`` with every staged request completed at the
 block boundary.  These tests drive both over every builtin fault

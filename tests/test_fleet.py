@@ -436,12 +436,14 @@ WELL_FORMED = {
     "int(3,)": lambda r: np.rint(r).astype(int),
     "list": lambda r: r.tolist(),
     "tuple": lambda r: tuple(r.tolist()),
+    "object(3,)": lambda r: np.array(r.tolist(), dtype=object),
 }
 #: Readings that are not three numbers: served by neither front door.
 MALFORMED = {
     "float(2,)": lambda r: r[:2],
     "float(2,2)": lambda r: np.resize(r, (2, 2)),
     "non-numeric": lambda r: [r[0], "x", r[2]],
+    "object non-numeric": lambda r: np.array([r[0], "x", r[2]], dtype=object),
 }
 
 
@@ -663,7 +665,8 @@ class TestFailover:
             detector.note_interruption(last_t=1.0)
             assert detector.health == "degraded"
             for i in range(n):
-                detector.push_collect(accel[i], gyro[i], t=t[i])
+                detector.push_block(accel[i:i + 1], gyro[i:i + 1],
+                                    t[i:i + 1])
             assert detector.health == "healthy"
             transitions.append(detector.health_transitions)
         assert transitions[1] == transitions[0]

@@ -99,10 +99,10 @@ def no_per_sample_fusion(monkeypatch):
 
 def test_recorder_never_runs_the_per_sample_fusion(no_per_sample_fusion):
     """A recorder attached to the detector keeps it on the block path:
-    ``push``, ``push_collect`` and ``push_block`` all fuse a block at a
-    time (``ComplementaryFilter.advance``), and so does a flight-recording
-    engine (``update_lanes`` for a stacked group, ``advance`` for a lane
-    alone)."""
+    ``push`` and ``push_block`` (whole blocks and one-row calls) all
+    fuse a block at a time (``ComplementaryFilter.advance``), and so
+    does a flight-recording engine (``update_lanes`` for a stacked
+    group, ``advance`` for a lane alone)."""
     streams = _fault_streams()
     accel, gyro, t = streams["nan_burst"]
     detector = FallDetector(MagnitudeProbeModel(), CFG,
@@ -111,7 +111,7 @@ def test_recorder_never_runs_the_per_sample_fusion(no_per_sample_fusion):
     detector.push_block(accel[:100], gyro[:100], t[:100])
     for i in range(100, 150):
         detector.push(accel[i], gyro[i], t[i])
-        detector.push_collect(accel[i], gyro[i], t[i] + 0.005)
+        detector.push_block(accel[i], gyro[i], [t[i] + 0.005])
     engine, _, _ = _serve(streams, instrumented=True)
     assert engine.stream_errors == 0
     assert detector.recorder.events()

@@ -11,8 +11,13 @@ synthetic stream time, and the serving-engine surfacing
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,6 +459,21 @@ def test_stream_reset_discards_only_its_own_pending_costs():
     assert timer.windows == windows
 
 
+@pytest.mark.parametrize("n_streams", [1, 2])
+def test_stream_reset_keeps_the_engine_timers_flushed_windows(n_streams):
+    """A stream's reset never wipes its engine's stage timer, not even
+    when that stream is the engine's only one."""
+    engine, streams = _timed_engine(n_streams, duration_s=1.05)
+    _feed_hops(engine, streams)
+    timer = engine.fleet_stages()
+    windows = timer.windows
+    e2e = timer.report()["e2e"]["count"]
+    assert windows == e2e == engine.windows_inferred > 0
+    engine.session("s000").detector.reset()
+    assert timer.windows == windows
+    assert timer.report()["e2e"]["count"] == e2e
+
+
 def test_engine_slo_disabled_by_config_none():
     engine = ServeEngine(MagnitudeProbeModel(),
                          ServeConfig(detector=CFG, slo=None),
@@ -465,6 +485,28 @@ def test_engine_slo_disabled_by_config_none():
         engine.submit("s000", accel[i], gyro[i], float(t[i]))
     engine.step()
     assert engine.fleet_stages() is not None  # stage timing is separate
+
+
+def test_slo_eval_attribution_excludes_one_time_imports():
+    """In a fresh interpreter the eval's first window is also the first
+    filter call; the clean condition's filter mean must describe the
+    steady state, not a one-time import inside that window."""
+    code = (
+        "import json\n"
+        "from repro.experiments import SLOEvalConfig, run_slo_eval\n"
+        "result = run_slo_eval(SLOEvalConfig(), scenarios=[])\n"
+        "stages = result['conditions']['clean']['stage_report']['stages']\n"
+        "print(json.dumps(stages['filter']))\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   str(Path(__file__).resolve().parents[1] / "src"),
+                   os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    filt = json.loads(out.stdout.strip().splitlines()[-1])
+    assert filt["count"] > 100
+    assert filt["mean"] < 10 * filt["p99"], filt
 
 
 def test_slo_eval_overload_pages_fast_burn():

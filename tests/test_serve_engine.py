@@ -138,9 +138,6 @@ def test_quarantine_contains_raising_detector():
         def health_report(self):
             return {"cnn_shed": False}
 
-        def push_collect(self, *a, **k):
-            raise RuntimeError("detector bug")
-
         def push_block(self, *a, **k):
             raise RuntimeError("detector bug")
 
@@ -215,7 +212,8 @@ def test_submit_copies_the_sample_so_callers_may_reuse_buffers():
 
 
 @pytest.mark.parametrize("accel", [None, (0.0, 1.0), ("x", 0.0, 1.0),
-                                   np.zeros((2, 3))])
+                                   np.zeros((2, 3)),
+                                   np.array([0.0, "x", 1.0], dtype=object)])
 def test_malformed_sample_is_refused_at_submit_and_counted(accel):
     """``submit`` never raises on a malformed sample: it refuses it and
     counts it as dropped, and the stream keeps serving its good ones."""
