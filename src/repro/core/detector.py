@@ -14,12 +14,17 @@ therefore validates and repairs every sample (NaN/Inf → hold-last, rail
 clamping, exact-repeat streaks for stuck channels and dead sensors),
 bridges short timestamp gaps by interpolation, resets and re-primes its
 streaming state after long ones, and tracks a three-state health
-machine.  The state its stacked kernels consume — filter sections,
-fusion angles, the fallback smoother, the repeat streaks and the last
-readings — lives in a :class:`LaneBank` as ``(streams, ...)`` arrays;
-each detector is one row, and the serving engine keeps all its streams
-in one bank, so a round's phases index the bank instead of gathering
-per-detector state.  Health states:
+machine.  ``push`` ingests a hop at a time: a row that provably changes
+nothing a caller can see (a healthy detector past warm-up, a clean
+reading on the clean next tick, no window due, no stuck/dead limit
+within reach) is held, and the held rows go in as one block on the row
+before the next window row, or as soon as anything could see them.
+The state its stacked kernels consume — filter sections, fusion angles,
+the fallback smoother, the repeat streaks and the last readings — lives
+in a :class:`LaneBank` as ``(streams, ...)`` arrays; each detector is
+one row, and the serving engine keeps all its streams in one bank, so a
+round's phases index the bank instead of gathering per-detector state.
+Health states:
 
 ``healthy``
     Clean stream, CNN path nominal.
@@ -533,6 +538,7 @@ class LaneBank:
             return
         if old.design.config != self.design.config:
             raise ValueError("a bank holds detectors of one config")
+        detector._flush_held()
         detector._flush_fallback()
         detector._flush_spent()
         values = detector._views
@@ -637,6 +643,11 @@ class FallDetector:
         self._buffer = np.zeros((self._window_n, 9))
         self._filled = 0
         self._since_last_inference = 0
+        # Rows push holds back (see _hold): readings, timestamps, and how
+        # many more may join before the held block must go in.
+        self._held = np.empty((self._bank.design.hop_n, 6))
+        self._held_t: list = []
+        self._held_room = 0
 
     def _init_health_state(self) -> None:
         self._bank.reset(self._row)
@@ -711,6 +722,7 @@ class FallDetector:
         ``recovery_samples`` clean samples pass — degraded-then-healthy,
         never silently healthy.
         """
+        self._flush_held()
         if last_t is not None and math.isfinite(last_t):
             self._last_t = float(last_t)
         self._update_health(anomaly=True)
@@ -805,6 +817,7 @@ class FallDetector:
 
     @property
     def samples_seen(self) -> int:
+        self._flush_held()
         return self._sample_index + 1
 
     # ------------------------------------------------------------------
@@ -1098,7 +1111,29 @@ class FallDetector:
           them runs, so a completion that sheds the CNN takes effect after
           the fill (the arriving sample still sees the CNN available).
           With the default config a push holds at most one due window.
+
+        A hop goes in as one block.  While the detector is ``healthy``
+        with a model, an unshed CNN, a window that has filled once and no
+        recorder, a push whose row is six finite readings inside the
+        rails on the clean next tick (a finite ``t`` at least half a
+        period and at most one period, rounded, after the stream clock;
+        ``t=None`` only in a stream that never had one) only holds the
+        row, unless it is the row that completes the next window.  The
+        held rows are ingested as one block on the row just before that
+        window row, so the window row runs as a one-row push with its
+        inference inline.  The held block also stays shorter than the
+        nearest stuck/dead limit: a streak grows by at most one a row, so
+        no limit is crossed inside it.  Such a row cannot return a
+        detection (the fallback decides only when the CNN cannot), move a
+        counter or the health gauge, or record a transition, so holding
+        it changes nothing a caller sees.  The held rows go in before
+        anything else — a push that fails the test, ``push_block``,
+        :func:`ingest_lanes`, :meth:`LaneBank.attach`,
+        :attr:`samples_seen`, :meth:`note_interruption` — and
+        :meth:`reset` drops them.
         """
+        if self._hold(accel_g, gyro_dps, t):
+            return None
         detections, requests = self._push_lane(
             accel_g, gyro_dps, None if t is None else (t,))
         for request in requests:
@@ -1147,10 +1182,74 @@ class FallDetector:
     def _push_lane(self, accel_g, gyro_dps, t):
         """One block through :func:`ingest_lanes`' phases as a group of
         one, the decision replay included."""
+        self._flush_held()
         accel, gyro, t_list = _parse(accel_g, gyro_dps, t)
         if accel.shape[0] == 0:
             return [], []
         return _ingest_one(self, accel, gyro, t_list)
+
+    def _hold(self, accel_g, gyro_dps, t) -> bool:
+        """Hold one pushed row back when it provably changes nothing a
+        caller can see (the test :meth:`push` describes); True when held.
+        The row that fills the held block to its room ingests it."""
+        d = self._bank.design
+        n = len(self._held_t)
+        if n:
+            clock = self._held_t[-1]
+        else:
+            # The detector's side of the test, once per held block.
+            if (self._health is not HEALTHY or self.model is None
+                    or self._cnn_shed or self.recorder is not None
+                    or self._filled < self._window_n):
+                return False
+            self._held_room = min(
+                d.hop_n - self._since_last_inference - 1,
+                int((d.limits - 1 - self._views.streaks[0]).min()))
+            if self._held_room <= 0:
+                return False
+            clock = self._last_t
+        # The row's side: the clean next tick (_plan's test), then six
+        # finite readings inside the rails.  Input a one-row push would
+        # reject fails the test too, and that push raises as before.
+        row = self._held[n]
+        try:
+            if t is not None:
+                t = float(t)
+                if not math.isfinite(t):
+                    return False
+                if clock is not None:
+                    dt = t - clock
+                    if dt < 0.5 * d.dt_nom or round(dt / d.dt_nom) > 1:
+                        return False
+            elif clock is not None:
+                return False
+            if len(accel_g) != 3 or len(gyro_dps) != 3:
+                return False
+            row[:3] = accel_g
+            row[3:] = gyro_dps
+        except (TypeError, ValueError, OverflowError):
+            return False
+        a0, a1, a2, g0, g1, g2 = row.tolist()
+        ra, rg = self.config.accel_range_g, self.config.gyro_range_dps
+        if not (abs(a0) <= ra and abs(a1) <= ra and abs(a2) <= ra
+                and abs(g0) <= rg and abs(g1) <= rg and abs(g2) <= rg):
+            return False
+        self._held_t.append(t)
+        if n + 1 == self._held_room:
+            self._flush_held()
+        return True
+
+    def _flush_held(self) -> None:
+        """Ingest the rows :meth:`_hold` held back, as one block through
+        the lane path (not ``push_block``, whose traced span must not
+        contain a push's)."""
+        t_list = self._held_t
+        if t_list:
+            self._held_t = []
+            rows = self._held[:len(t_list)]
+            detections, requests = _ingest_one(self, rows[:, :3],
+                                               rows[:, 3:], t_list)
+            assert not detections and not requests, "a held row decided"
 
     def _decide_rows(self, accel, gyro, repaired, data_anom, dead, ts_anom,
                      real_t, expansion, windows, ready, fb_hits):
@@ -1185,7 +1284,7 @@ class FallDetector:
         )
         if (fast_health and not windows and True not in fb_hits
                 and self.recorder is None):
-            # Nothing to decide or record: the common one-row push.
+            # Nothing to decide or record: a held block, or a clean push.
             self._clean_streak += n
             self._sample_index = base + m
             return [], []
@@ -1324,6 +1423,7 @@ def ingest_lanes(blocks) -> list:
     groups: dict = {}
     for i, (det, accel_g, gyro_dps, t) in enumerate(blocks):
         try:
+            det._flush_held()
             lane = (det,) + _parse(accel_g, gyro_dps, t)
             key = (det._bank.design, lane[1].shape[0])
         except Exception as exc:

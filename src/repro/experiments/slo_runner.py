@@ -35,6 +35,7 @@ from ..faults import builtin_scenarios, synth_stream
 from ..obs import BurnRateRule, SLOConfig, get_logger
 from ..obs.metrics import MetricsRegistry
 from ..serve import ServeConfig, ServeEngine
+from ..signal.filters import sosfilt_kernel
 from .alerts_runner import MagnitudeProbeModel
 
 __all__ = ["SLOEvalConfig", "run_slo_eval"]
@@ -195,10 +196,10 @@ def run_slo_eval(config: SLOEvalConfig | None = None,
         scenarios = {n: available[n] for n in scenarios}
     _logger.info("slo eval: %d streams, %d scenario(s) + overload",
                  config.n_streams, len(scenarios))
-    # The Butterworth filter imports scipy's kernel on its first call;
-    # import it here, untimed, so that one-time cost is not charged to
+    # The Butterworth filter loads scipy's kernel on its first call;
+    # load it here, untimed, so that one-time cost is not charged to
     # the clean condition's first window as filter time.
-    import scipy.signal  # noqa: F401
+    sosfilt_kernel()
     conditions = {"clean": _run_condition(None, config)}
     for name, scenario in sorted(scenarios.items()):
         conditions[name] = _run_condition(scenario, config)

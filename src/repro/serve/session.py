@@ -155,12 +155,15 @@ class FrontDoor:
         # the (3,) float64 ndarrays callers pass is the cheap path; any
         # other dtype, shape or type goes through sample_row, which
         # turns a malformed sample into None, refused here.  The dtype
-        # test is an identity test (an unpickled array's float64 dtype
-        # is a copy, so it takes sample_row too).  ``tolist`` nests a
-        # list per row for an array of two or more dimensions, and
-        # testing the first reading for one is cheaper than ``ndim``.
+        # test is an identity test, and an equality test only when that
+        # misses (an unpickled array's float64 dtype is an equal copy;
+        # a byte-swapped one is not equal).  ``tolist`` nests a list per
+        # row for an array of two or more dimensions, and testing the
+        # first reading for one is cheaper than ``ndim``.
         try:
-            if accel_g.dtype is not _F64 or gyro_dps.dtype is not _F64:
+            a_type, g_type = accel_g.dtype, gyro_dps.dtype
+            if ((a_type is not _F64 and a_type != _F64)
+                    or (g_type is not _F64 and g_type != _F64)):
                 raise TypeError("not float64 readings")
             ax, ay, az = accel_g.tolist()
             gx, gy, gz = gyro_dps.tolist()

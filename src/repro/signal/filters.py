@@ -17,15 +17,28 @@ coefficients differ by up to 1.96), and ``scipy.signal.sosfilt_zi``
 differs from ours by up to 5.6e-16.  Either swap would change every
 filtered value the archived results were computed from.
 
-scipy is imported lazily, inside the filtering functions: importing
-``scipy.signal`` costs tens of MiB and over a second cold, which a bare
-``import repro.core.detector`` should not pay.
+The kernel is loaded lazily, on the first filtering call, and alone:
+``scipy.signal``'s package init costs ~76 MiB and over a second cold,
+and everything here needs one compiled extension of it.  The
+``_sosfilt`` extension is loaded from its file under its canonical
+module name (``scipy.signal._sosfilt``) without running
+``scipy/signal/__init__.py``, so a later ``import scipy.signal`` finds
+the module already loaded and reuses it; if the file cannot be found,
+the package import loads it as usual.  The offline complementary
+filter (:meth:`repro.signal.orientation.ComplementaryFilter.process`)
+runs its recurrence on the same kernel.
 
 All public filter functions operate on arrays shaped ``(samples,)`` or
 ``(samples, channels)`` and filter along axis 0.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +49,51 @@ __all__ = [
     "sosfiltfilt",
     "lowpass_filter",
     "OnlineSosFilter",
+    "sosfilt_kernel",
 ]
+
+
+_KERNEL_MODULE = "scipy.signal._sosfilt"
+#: Serialises the first load: the extension initialises once a process.
+_load_lock = threading.Lock()
+
+
+def sosfilt_kernel():
+    """scipy's compiled DF2T kernel ``_sosfilt(sos, x, zi)``, loaded on
+    first use without importing the rest of ``scipy.signal``.
+
+    ``x`` is a C-contiguous ``(signals, n)`` float64 array and ``zi`` a
+    C-contiguous ``(signals, n_sections, 2)`` state; both are updated in
+    place, and nothing checks their shapes.  Looked up on its module at
+    every call, so a wrapped ``scipy.signal._sosfilt._sosfilt`` is seen.
+    """
+    module = sys.modules.get(_KERNEL_MODULE)
+    if module is None:
+        with _load_lock:
+            module = (sys.modules.get(_KERNEL_MODULE)
+                      or _load_kernel_module())
+    return module._sosfilt
+
+
+def _load_kernel_module():
+    """Load the ``_sosfilt`` extension from its file, registered under its
+    canonical name; fall back to the package import."""
+    package = importlib.util.find_spec("scipy.signal")  # imports scipy only
+    for folder in package.submodule_search_locations or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(folder) / f"_sosfilt{suffix}"
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(
+                    _KERNEL_MODULE, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_KERNEL_MODULE] = module
+                try:
+                    spec.loader.exec_module(module)
+                except BaseException:
+                    del sys.modules[_KERNEL_MODULE]
+                    raise
+                return module
+    return importlib.import_module(_KERNEL_MODULE)
 
 
 def _analog_lowpass_poles(order: int) -> np.ndarray:
@@ -124,8 +181,7 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None):
     this calls directly (skipping the public function's per-call shape
     bookkeeping).
     """
-    from scipy.signal._sosfilt import _sosfilt
-
+    _sosfilt = sosfilt_kernel()
     sos = _as_sos(sos)
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -288,8 +344,6 @@ class OnlineSosFilter:
         independently, so outputs and states are bit-identical to one
         :meth:`process` call per lane.
         """
-        from scipy.signal._sosfilt import _sosfilt
-
         lanes, n, channels = samples.shape
         if channels != self.channels:
             raise ValueError(
@@ -302,5 +356,5 @@ class OnlineSosFilter:
                                * samples[lane, 0][:, None, None])
         # Always a copy: the kernel filters in place.
         y = np.array(samples.transpose(0, 2, 1), order="C")
-        _sosfilt(self.sos, y.reshape(lanes * channels, n), flat)
+        sosfilt_kernel()(self.sos, y.reshape(lanes * channels, n), flat)
         return y.transpose(0, 2, 1)

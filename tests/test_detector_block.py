@@ -1,7 +1,7 @@
 """``push_block`` ≡ the per-sample oracle — the bit-identity property suite.
 
 ``FallDetector.push_block`` is the detector's one ingest path (``push``
-is a one-row call of it).  It promises
+calls it with one row, or with a hop of rows it held back).  It promises
 *bit-identical* results to the per-sample reference pipeline in
 ``tests/detector_oracle.py`` with every staged request completed at the
 block boundary.  These tests drive both over every builtin fault
@@ -22,7 +22,10 @@ import zlib
 import numpy as np
 import pytest
 from detector_oracle import ScalarDetector, feed
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.detector as detector_module
 from repro.core.detector import DetectorConfig, FallDetector
 from repro.faults import builtin_scenarios, synth_stream
 from repro.obs import FlightConfig, FlightRecorder
@@ -302,3 +305,150 @@ def test_inline_push_defers_shed_to_after_the_fill():
         assert detector.health_report()["cnn_shed"]
         calls[cls] = model.calls
     assert calls == {ScalarDetector: 1, FallDetector: 2}
+
+
+# ----------------------------------------------------------------------
+# the held push: rows held back a hop at a time, seen by no caller
+# ----------------------------------------------------------------------
+def _observed(detector, registry, hit):
+    """What a caller sees after one push without ingesting held rows
+    (reading ``samples_seen`` would)."""
+    return (hit, detector.health_report(), detector.health_transitions,
+            registry.snapshot())
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_push_matches_oracle_push_by_push(name):
+    """Per push, not only per stream: the return value, the health
+    report, the transition log and every metric equal the oracle's
+    after each push, so no held row changes what a caller sees; the
+    sample clock agrees every 37 pushes."""
+    t, accel, gyro = _scenario_stream(name)
+    accel = accel.copy()
+    accel[150:170, 2] -= 0.9              # a fall-like dip for the fallback
+    arms = []
+    for cls in (ScalarDetector, FallDetector):
+        registry = MetricsRegistry()
+        arms.append((cls(_TanhModel(), DetectorConfig(), registry=registry),
+                     registry))
+    for i in range(len(accel)):
+        seen = [_observed(det, reg, det.push(accel[i], gyro[i], t[i]))
+                for det, reg in arms]
+        assert seen[1] == seen[0], i
+        if i % 37 == 0:
+            assert arms[1][0].samples_seen == arms[0][0].samples_seen
+
+
+def test_clean_pushes_ingest_a_hop_in_two_passes(monkeypatch):
+    """Past warm-up a clean hop costs two stream passes: the held rows
+    as one block on the row before the window row, then the window row
+    alone with its inference."""
+    calls = []
+    stream_pass = detector_module._stream_pass
+    monkeypatch.setattr(detector_module, "_stream_pass",
+                        lambda d, state, ex6, *rest: (
+                            calls.append(ex6.shape[1]),
+                            stream_pass(d, state, ex6, *rest))[1])
+    cfg = DetectorConfig()
+    window, hop = cfg.window_samples, cfg.hop_samples
+    accel, gyro, t = _base_stream(0, duration_s=4.0)
+    detector = FallDetector(_TanhModel(), cfg, registry=MetricsRegistry())
+    for i in range(window):                 # warm-up: the first window
+        detector.push(accel[i], gyro[i], t[i])
+    calls.clear()
+    hops = (len(accel) - window) // hop
+    inferences = detector.latency.count
+    for i in range(window, window + hops * hop):
+        detector.push(accel[i], gyro[i], t[i])
+    assert calls == [hop - 1, 1] * hops
+    assert detector.latency.count - inferences == hops
+
+
+_CLEAN_STEP = 0.01
+
+
+def _drawn_row(kind, rng, t, last):
+    """One pushed row of ``kind``: ``(accel, gyro, t passed, stream t)``."""
+    accel = np.array([0.0, 0.0, 1.0]) + rng.normal(0.0, 0.02, 3)
+    gyro = rng.normal(0.0, 5.0, 3)
+    step = _CLEAN_STEP
+    if kind == "repeat" and last is not None:
+        accel, gyro = last[0].copy(), last[1].copy()
+    elif kind == "nan":
+        accel[int(rng.integers(3))] = np.nan
+    elif kind == "over":
+        gyro[int(rng.integers(3))] = 2500.0
+    elif kind == "dip":
+        accel *= rng.uniform(0.1, 1.6)
+    elif kind == "jitter":
+        step += rng.uniform(-0.007, 0.007)
+    elif kind == "gap":
+        step = float(rng.choice([0.03, 0.05, 0.5]))
+    elif kind == "backwards":
+        step = -0.005
+    t += step
+    return accel, gyro, (None if kind == "untimed" else t), t
+
+
+_PUSH_KINDS = ("clean", "clean", "clean", "repeat", "nan", "over", "dip",
+               "jitter", "gap", "backwards", "untimed")
+_STEPS = st.lists(st.tuples(
+    st.sampled_from(_PUSH_KINDS + ("read", "interrupt", "reset", "block")),
+    st.integers(1, 25)), min_size=1, max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=_STEPS, stuck=st.sampled_from([3, 25]),
+       seed=st.integers(0, 2 ** 16))
+def test_held_push_matches_oracle_under_interleavings(steps, stuck, seed):
+    """Runs of pushes drawn clean, non-finite, over the rails, exact
+    repeats, dips, jittered, gapped, backwards or untimestamped,
+    interleaved with reads, ``note_interruption``, ``reset`` and
+    ``push_block``: after every step the production detector shows what
+    the per-sample oracle does — return values, health report,
+    transitions and metrics, the sample clock at every read.  A stuck
+    limit of 3 makes the streak budget, not the hop, end most held
+    blocks."""
+    cfg = DetectorConfig(window_ms=200.0, overlap=0.5,
+                         stuck_channel_samples=stuck,
+                         dead_sensor_samples=2 * stuck,
+                         recovery_samples=10, deadline_ms=60_000.0)
+    model = _TanhModel()
+    arms = []
+    for cls in (ScalarDetector, FallDetector):
+        registry = MetricsRegistry()
+        arms.append((cls(model, cfg, registry=registry), registry))
+    rng = np.random.default_rng(seed)
+    t, last = 0.0, None
+    # Past warm-up first, so the steps start on a held-row stretch.
+    for kind, count in [("clean", cfg.window_samples + 3)] + steps:
+        for _ in range(count if kind in _PUSH_KINDS else 1):
+            if kind in _PUSH_KINDS:
+                accel, gyro, t_in, t = _drawn_row(kind, rng, t, last)
+                last = (accel, gyro)
+                seen = [_observed(det, reg, det.push(accel, gyro, t_in))
+                        for det, reg in arms]
+            elif kind == "block":
+                rows = [_drawn_row("clean", rng, t + _CLEAN_STEP * j, None)
+                        for j in range(count)]
+                t = rows[-1][3]
+                accel = np.array([r[0] for r in rows])
+                gyro = np.array([r[1] for r in rows])
+                times = np.array([r[2] for r in rows])
+                seen = [_observed(det, reg,
+                                  feed(det, model, accel, gyro, times, []))
+                        for det, reg in arms]
+            elif kind == "read":
+                seen = [_observed(det, reg, det.samples_seen)
+                        for det, reg in arms]
+            elif kind == "interrupt":
+                for det, _ in arms:
+                    det.note_interruption(last_t=t)
+                seen = [_observed(det, reg, None) for det, reg in arms]
+            else:
+                for det, _ in arms:
+                    det.reset()
+                seen = [_observed(det, reg, None) for det, reg in arms]
+            assert seen[1] == seen[0], kind
+    assert arms[1][0].samples_seen == arms[0][0].samples_seen
+    np.testing.assert_array_equal(arms[1][0]._buffer, arms[0][0]._buffer)

@@ -437,6 +437,8 @@ WELL_FORMED = {
     "list": lambda r: r.tolist(),
     "tuple": lambda r: tuple(r.tolist()),
     "object(3,)": lambda r: np.array(r.tolist(), dtype=object),
+    "pickled float(3,)": lambda r: pickle.loads(pickle.dumps(r)),
+    "big-endian float(3,)": lambda r: r.astype(">f8"),
 }
 #: Readings that are not three numbers: served by neither front door.
 MALFORMED = {
@@ -490,6 +492,37 @@ class TestSampleForms:
         assert single[form] and fleet[form] == single[form]
         if form != "int(3,)":
             assert single[form] == single["float(3,)"]
+
+    def test_pickled_float64_reading_takes_the_fast_path(self, monkeypatch):
+        """An unpickled float64 array carries an equal copy of the dtype,
+        not numpy's singleton: both doors still queue it without
+        ``sample_row``.  A byte-swapped reading is not float64 and goes
+        through ``sample_row`` (and is served alike, above)."""
+        import repro.serve.session as session_module
+
+        calls = []
+        sample_row = session_module.sample_row
+        monkeypatch.setattr(session_module, "sample_row",
+                            lambda *args: (calls.append(args),
+                                           sample_row(*args))[1])
+        reading = np.array([0.0, 0.0, 1.0])
+        pickled = pickle.loads(pickle.dumps(reading))
+        assert pickled.dtype is not reading.dtype
+        engine = ServeEngine(MagnitudeProbeModel(), _serve_config(),
+                             registry=MetricsRegistry())
+        front = FleetFront(MagnitudeProbeModel(),
+                           FleetConfig(n_shards=1, serve=_serve_config()),
+                           registry=MetricsRegistry())
+        try:
+            for door in (engine, front):
+                assert door.submit("s", pickled, pickled, 0.0)
+                assert not calls
+                assert door.submit("s", reading.astype(">f8"), reading, 0.01)
+                assert len(calls) == 1
+                calls.clear()
+                assert door.samples_in == 2
+        finally:
+            front.close()
 
     @pytest.mark.parametrize("form", list(MALFORMED))
     def test_malformed_sample_is_served_by_neither(self, served_forms, form):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from repro.signal.filters import (
     sosfilt_zi,
     sosfiltfilt,
 )
+from repro.signal.orientation import ComplementaryFilter, accel_inclination
 
 
 class TestDesign:
@@ -290,3 +296,67 @@ class TestOnlineMatchesScipy:
             assert np.array_equal(y, expected[-n:], equal_nan=True)
             assert np.array_equal(online._state.transpose(1, 2, 0), zf,
                                   equal_nan=True)
+
+
+class TestKernelOnly:
+    """The filters load scipy's ``_sosfilt`` extension alone, not the
+    ``scipy.signal`` package (~76 MiB)."""
+
+    def test_detector_run_and_fusion_leave_scipy_signal_unloaded(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.core.detector import DetectorConfig, FallDetector\n"
+            "from repro.signal.filters import butter_lowpass_sos, sosfilt\n"
+            "from repro.signal.orientation import ComplementaryFilter\n"
+            "class Zero:\n"
+            "    def predict(self, x):\n"
+            "        return np.zeros((len(x), 1))\n"
+            "rng = np.random.default_rng(0)\n"
+            "accel = rng.normal(0, 0.05, (300, 3)) + [0.0, 0.0, 1.0]\n"
+            "gyro = rng.normal(0, 5.0, (300, 3))\n"
+            "t = np.arange(300) / 100.0\n"
+            "FallDetector(Zero(), DetectorConfig()).run(accel, gyro, t)\n"
+            "ComplementaryFilter().process(accel, gyro)\n"
+            "sos = butter_lowpass_sos(4, 5.0, 100.0)\n"
+            "ours, _ = sosfilt(sos, gyro)\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith('scipy.signal'))\n"
+            "assert loaded == ['scipy.signal._sosfilt'], loaded\n"
+            "import scipy.signal\n"           # still importable afterwards
+            "theirs = scipy.signal.sosfilt(sos, gyro, axis=0)\n"
+            "assert np.array_equal(ours, theirs)\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+            str(Path(__file__).resolve().parents[1] / "src"),
+            os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["ok"]
+
+    def test_fusion_process_matches_lfilter(self):
+        """``ComplementaryFilter.process`` runs its recurrence as one
+        second-order section on the compiled kernel: bit for bit
+        ``lfilter([1], [1, -alpha], u, zi=[alpha * angle0])`` per
+        channel, as it was computed before."""
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            accel = rng.normal(0.0, 0.5, (n, 3)) + [0.0, 0.0, 1.0]
+            gyro = rng.normal(0.0, 80.0, (n, 3))
+            fusion = ComplementaryFilter(fs=float(rng.choice([50.0, 100.0])),
+                                         tau=float(rng.uniform(0.1, 2.0)))
+            got = fusion.process(accel, gyro)
+            a = fusion.alpha
+            pitch, roll = accel_inclination(accel)
+            for col, (angle, rate) in enumerate(
+                    [(pitch, gyro[:, 1]), (roll, gyro[:, 0])]):
+                u = a * fusion.dt * rate + (1.0 - a) * angle
+                expected = np.empty(n)
+                expected[0] = angle[0]
+                if n > 1:
+                    expected[1:], _ = scipy_signal.lfilter(
+                        [1.0], [1.0, -a], u[1:], zi=[a * angle[0]])
+                assert got[:, col].tobytes() == expected.tobytes()
