@@ -10,10 +10,14 @@ export PYTHONPATH := src
 
 # tests/test_detector_block.py (the bit-identity gate of push_block,
 # the detector's one ingest path, against the per-sample oracle in
-# tests/detector_oracle.py) and tests/test_detector_lanes.py (stacked
+# tests/detector_oracle.py), tests/test_detector_lanes.py (stacked
 # ingest_lanes rounds against per-lane push_block and the same oracle,
-# plus the kernel- and validation-call counts) ride along here, so
-# `make check` always re-proves both identities.
+# plus the kernel- and validation-call counts) and
+# tests/test_engine_round.py (mixed ServeEngine rounds — clean lanes
+# decided and completed as arrays beside recorded, faulted, shed and
+# lone lanes — against per-lane push_block + complete and the oracle,
+# plus the per-lane call count of a clean round: none) ride along here,
+# so `make check` always re-proves all three identities.
 test:
 	$(PYTHON) -m pytest -x -q
 

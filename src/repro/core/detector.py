@@ -62,6 +62,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import attrgetter
 
 import numpy as np
@@ -307,7 +308,7 @@ class MagnitudeFallback:
         """Feed one repaired accel sample; True when the dip+range fires."""
         return self._steps(self._state, [accel_g])[0]
 
-    def push_lanes(self, state: np.ndarray, accel_g) -> list[list[bool]]:
+    def push_lanes(self, state: np.ndarray, accel_g) -> np.ndarray:
         """:meth:`push` over many streams' blocks at once, their state
         held by the caller.
 
@@ -320,7 +321,8 @@ class MagnitudeFallback:
         a magnitude and the means divide by the true fill — summing
         oldest first like :meth:`push`; the dip watch, sequential but
         idle off a dip, then runs per lane only where a lane dips or is
-        already watching.  Returns each lane's per-row hits.
+        already watching.  Returns the per-row hits, ``(lanes, n)``
+        bools.
         """
         k = self._k
         lanes, n = accel_g.shape[:2]
@@ -333,17 +335,13 @@ class MagnitudeFallback:
         fill = state[:, k - 1:k]
         smooth = total / np.minimum(k, fill + np.arange(1, n + 1))
         dips = smooth < self.low_g
-        watching = (dips.any(axis=1) | (state[:, k] > 0)).tolist()
-        mags = mag.tolist()
-        hits = []
-        for lane in range(lanes):
-            if watching[lane]:
-                watch = state[lane, k:].tolist()
-                hits.append(self._watch(watch, mags[lane],
-                                        dips[lane].tolist()))
-                state[lane, k:] = watch
-            else:
-                hits.append([False] * n)
+        hits = np.zeros((lanes, n), dtype=bool)
+        for lane in np.flatnonzero(dips.any(axis=1)
+                                   | (state[:, k] > 0)).tolist():
+            watch = state[lane, k:].tolist()
+            hits[lane] = self._watch(watch, mag[lane].tolist(),
+                                     dips[lane].tolist())
+            state[lane, k:] = watch
         state[:, :k - 1] = history[:, n:]
         np.minimum(fill + n, k, out=fill)
         return hits
@@ -412,7 +410,19 @@ class MagnitudeFallback:
 #: One detector's row of a :class:`LaneBank`, or a group's gathered rows:
 #: the state the stacked kernels consume, each ``(lanes, ...)``.
 _BankRows = namedtuple(
-    "_BankRows", "sos angles fb_state streaks raw")
+    "_BankRows", "sos angles fb_state streaks raw ring filled since")
+
+#: The fields a long-gap reset starts over: filter, fusion and the
+#: window ring with its cadence counters.
+_STREAM_FIELDS = ("sos", "angles", "ring", "filled", "since")
+
+#: The windows a stacked group staged for its clean lanes, as arrays in
+#: lane order, then row order: each window's lane (its index in the
+#: group's or round's lane list), bank row, sample index, timestamp and
+#: whether the fallback fired on its row (:class:`WindowRequest`'s
+#: fields), and the windows themselves ``(k, window_n, 9)``.
+_Staged = namedtuple("_Staged",
+                     "lane row sample_index time_s fallback_hit windows")
 
 
 class _Design:
@@ -444,6 +454,9 @@ class _Design:
             fb_state=((len(fb),), float, fb),
             streaks=((8,), np.intp, [-1] * 6 + [0, 0]),
             raw=((2, 6), float, [[np.nan] * 6, _REPAIR_DEFAULTS]),
+            ring=((self.window_n, 9), float, 0.0),
+            filled=((), np.intp, 0),
+            since=((), np.intp, 0),
         )
 
 
@@ -463,18 +476,23 @@ class LaneBank:
       (a channel's is -1 before the stream's first sample, which has
       nothing to repeat), and ``raw`` the last exact reading (NaN
       before any) over the last repaired one: hold-last repair's carry
-      and gap interpolation's start.
+      and gap interpolation's start;
+    * ``ring`` — the last ``window_n`` filtered, scaled rows (oldest
+      first), ``filled`` how many of them are real (the warm-up) and
+      ``since`` the rows since the last due window: window assembly's
+      state (:func:`_window`), so a group's due windows are one take.
 
     Each detector holds views of its row (``_views``, each ``(1, ...)``
     — a group of one), which the bank re-points whenever it reallocates.
-    A standalone detector is a bank of one; the serving engine
-    :meth:`attach`\\ es every stream's detector to one bank, so a round's
-    stacked phases gather and scatter each field of all their lanes with
-    one index operation.  The window ring and the stream clock, which
-    only per-lane loops touch, stay on the detector.  So does, between
-    the passes of a lane alone, its fallback state as a list (the scalar
-    steps' own layout, which spares a one-row push an array round trip);
-    it goes back into the row before anything reads the row.
+    A standalone detector is a bank of one; the serving engine builds
+    every stream's detector into its bank (:meth:`add`, or
+    :meth:`attach` for one built elsewhere), so a round's stacked phases
+    gather and scatter each field of all their lanes with one index
+    operation.  The stream clock stays on the detector.  So does,
+    between the passes of a lane alone, its fallback state as a list
+    (the scalar steps' own layout, which spares a one-row push an array
+    round trip); it goes back into the row before anything reads the
+    row.
 
     With ``config.stage_timing`` the bank holds one
     :class:`~repro.obs.StageTimer` (``stages``) for all its detectors:
@@ -521,11 +539,12 @@ class LaneBank:
         self.reset(row)
 
     def reset(self, row: int, *, stream_only: bool = False) -> None:
-        """Make ``row`` fresh: the filter and fusion state, and with
-        ``stream_only`` false every field and its pending stage costs."""
+        """Make ``row`` fresh: the filter, fusion and window state, and
+        with ``stream_only`` false every field and its pending stage
+        costs."""
         for name, (_, _, fresh) in zip(_BankRows._fields,
                                        self.design.layout):
-            if not stream_only or name in ("sos", "angles"):
+            if not stream_only or name in _STREAM_FIELDS:
                 getattr(self, name)[row] = fresh
         if not stream_only and self.stages is not None:
             self.stages.discard_pending(row)
@@ -544,7 +563,7 @@ class LaneBank:
         values = detector._views
         old_row = detector._row
         self.add(detector)
-        self.scatter(detector._row, values)
+        self.scatter(slice(detector._row, detector._row + 1), values)
         if self.stages is not None:
             self.stages.pending[detector._row] = old.stages.pending[old_row]
         old._members.discard(detector)
@@ -554,7 +573,8 @@ class LaneBank:
         array."""
         return _BankRows(self.sos[rows], self.angles[rows],
                          self.fb_state[rows], self.streaks[rows],
-                         self.raw[rows])
+                         self.raw[rows], self.ring[rows], self.filled[rows],
+                         self.since[rows])
 
     def scatter(self, rows, state: _BankRows) -> None:
         for name, value in zip(_BankRows._fields, state):
@@ -595,6 +615,7 @@ class FallDetector:
         metric_prefix: str = "detector",
         recorder=None,
         stage_clock=None,
+        _bank: LaneBank | None = None,
     ):
         self.model = model
         self.config = config or DetectorConfig()
@@ -604,8 +625,14 @@ class FallDetector:
         cfg = self.config
         # The streaming state, stage timer included: this detector's row
         # of a bank of one until a LaneBank.attach moves it into a shared
-        # one.  `stage_clock` is injectable for deterministic tests.
-        LaneBank(cfg, stage_clock=stage_clock).add(self)
+        # one, or from the start a row of `_bank` (the serving engine's,
+        # so a new stream builds no bank or stage timer of its own).
+        # `stage_clock` is injectable for deterministic tests.
+        if _bank is None:
+            _bank = LaneBank(cfg, stage_clock=stage_clock)
+        elif _bank.design.config != cfg:
+            raise ValueError("a bank holds detectors of one config")
+        _bank.add(self)
         self._window_n = cfg.window_samples
         self._deadline = cfg.effective_deadline_ms
         # Deadline monitor: one latency sample per window inference.  A
@@ -640,9 +667,6 @@ class FallDetector:
     # ------------------------------------------------------------------
     def _init_stream_state(self) -> None:
         self._bank.reset(self._row, stream_only=True)
-        self._buffer = np.zeros((self._window_n, 9))
-        self._filled = 0
-        self._since_last_inference = 0
         # Rows push holds back (see _hold): readings, timestamps, and how
         # many more may join before the held block must go in.
         self._held = np.empty((self._bank.design.hop_n, 6))
@@ -850,6 +874,22 @@ class FallDetector:
         if self._spent is not None:
             self._bank.stages.pending[self._row] += self._spent
             self._spent = None
+
+    @property
+    def _buffer(self) -> np.ndarray:
+        """The window ring: the last ``window_samples`` filtered, scaled
+        rows, oldest first (a view of this detector's bank row)."""
+        return self._views.ring[0]
+
+    @property
+    def _filled(self) -> int:
+        """Rows of the ring that are real (the window warm-up)."""
+        return int(self._views.filled[0])
+
+    @property
+    def _since_last_inference(self) -> int:
+        """Rows ingested since the last due window."""
+        return int(self._views.since[0])
 
     @property
     def _last_raw(self) -> np.ndarray:
@@ -1390,10 +1430,11 @@ def ingest_lanes(blocks) -> list:
     state and recorder events included — or the exception the lane
     raised (the caller contains it; no other lane is affected).
 
-    Lanes sharing a block length and config form a group.  A group of
-    at least ``_STACK_MIN_LANES`` lanes is moved into one
-    :class:`LaneBank` (the serving engine's streams already share one)
-    and runs as one stacked pass (:func:`_ingest`) that gathers its rows
+    The lanes of each config go through :func:`ingest_round` as one
+    block of rows.  Lanes sharing a block length and config form a
+    group.  A group of at least ``_STACK_MIN_LANES`` lanes is moved into
+    one :class:`LaneBank` (the serving engine's streams already share
+    one) and runs as one stacked pass (:func:`_ingest`) that gathers its rows
     of every bank field with one index operation and works on ``(lanes,
     n, ...)`` arrays: validation (:func:`_validate`: repair, clamping and
     the stuck/dead streak tracker, advanced in closed form from each
@@ -1404,14 +1445,15 @@ def ingest_lanes(blocks) -> list:
     <repro.signal.orientation.ComplementaryFilter.update_lanes>`), the
     Butterworth as one kernel call (:meth:`OnlineSosFilter.process_lanes
     <repro.signal.filters.OnlineSosFilter.process_lanes>`), channel
-    scaling and the fallback smoother
-    (:meth:`MagnitudeFallback.push_lanes`).  Per lane stay the timestamp
-    plan of a lane that fails the clean test, the stream phases of a
-    lane whose block holds gap fills or long-gap resets, window assembly
-    and the health/decision replay with the recorder hand-over.  The
-    group scatters its rows back only once every phase has succeeded; if
-    it raises, its lanes rerun one at a time, so only a lane that raises
-    on its own is lost.  Smaller groups run lane by lane
+    scaling, the fallback smoother (:meth:`MagnitudeFallback.push_lanes`),
+    window assembly (:func:`_window`) and, for every *clean* lane, the
+    decision replay.  Per lane stay the timestamp plan of a lane that
+    fails the clean test, the stream phases of a lane whose block holds
+    gap fills or long-gap resets, and the health/decision replay of a
+    lane that is not clean, with the recorder hand-over.  The group
+    scatters its rows back only once every phase has succeeded; if it
+    raises, its lanes rerun one at a time, so only a lane that raises on
+    its own is lost.  Smaller groups run lane by lane
     (:func:`_ingest_one`, the same phases on the lane's bank row).
 
     Stage timing: a stacked group times each phase once, its decision
@@ -1420,39 +1462,170 @@ def ingest_lanes(blocks) -> list:
     row once per pass.
     """
     results: list = [None] * len(blocks)
-    groups: dict = {}
+    designs: dict = {}
     for i, (det, accel_g, gyro_dps, t) in enumerate(blocks):
         try:
             det._flush_held()
-            lane = (det,) + _parse(accel_g, gyro_dps, t)
-            key = (det._bank.design, lane[1].shape[0])
+            accel, gyro, t_list = _parse(accel_g, gyro_dps, t)
         except Exception as exc:
             results[i] = exc
             continue
-        if key[1] == 0:
+        n = accel.shape[0]
+        if n == 0:
             results[i] = ([], [])
-        else:
-            groups.setdefault(key, []).append((i, lane))
-    for members in groups.values():
-        if len(members) >= _STACK_MIN_LANES:
-            lanes = [lane for _, lane in members]
-            bank = lanes[0][0]._bank
+            continue
+        # A missing timestamp (None, or a lane without any) is NaN.
+        t = np.array([math.nan] * n if t_list is None else t_list,
+                     dtype=float)
+        designs.setdefault(det._bank.design, []).append(
+            (i, det, np.concatenate([accel, gyro, t[:, None]], axis=1)))
+    for members in designs.values():
+        out, staged = ingest_round([det for _, det, _ in members],
+                                   np.concatenate([b for _, _, b in members]),
+                                   [len(b) for _, _, b in members])
+        requests = _requests(staged, len(members))
+        for k, (i, _, _) in enumerate(members):
+            results[i] = out.get(k) or ([], requests[k])
+    return results
+
+
+def ingest_round(dets, block: np.ndarray, lengths) -> tuple:
+    """The serving engine's round: :func:`ingest_lanes` for rows drained
+    from every due stream's queue at once.
+
+    ``dets`` share one config; ``block`` holds their rows
+    ``(sum(lengths), 7)`` — ``(ax, ay, az, gx, gy, gz, t)``, ``t`` NaN
+    where missing — lane after lane, ``lengths[i] > 0`` rows (a list of
+    ints) for ``dets[i]``.  Lanes of one length form a group, cut from ``block``
+    with one index (a reshape when every lane shares the length); a
+    group of at least ``_STACK_MIN_LANES`` lanes joins its first lane's
+    :class:`LaneBank` (the engine's lanes all share one) and runs
+    stacked (:func:`_ingest`), the others lane by lane, as
+    :func:`ingest_lanes` describes.
+
+    Returns ``(results, staged)``: ``results`` maps the index of every
+    lane that is not clean to its ``(detections, requests)`` or the
+    exception it raised, and ``staged`` (``None`` when no clean lane
+    came due) holds every clean lane's windows as arrays, their lanes
+    indexing ``dets``: a clean lane returns no detections, and its
+    windows complete through :func:`complete_clean` (or, one at a time,
+    through :meth:`FallDetector.complete`).
+    """
+    if lengths.count(lengths[0]) == len(lengths):
+        groups = {lengths[0]: range(len(dets))}
+    else:
+        groups = {}
+        for i, n in enumerate(lengths):
+            groups.setdefault(n, []).append(i)
+    offsets = None
+    results: dict = {}
+    parts = []
+    for n, members in groups.items():
+        group = [dets[i] for i in members]
+        if len(group) >= _STACK_MIN_LANES:
+            if len(group) == len(dets):
+                rows = block.reshape(len(dets), n, 7)
+            else:
+                if offsets is None:
+                    offsets = [0, *accumulate(lengths)]
+                rows = block[np.asarray(offsets)[members][:, None]
+                             + np.arange(n)]
+            bank = group[0]._bank
             try:
-                for lane in lanes:
-                    bank.attach(lane[0])
-                for (i, _), result in zip(members, _ingest(bank, lanes)):
-                    results[i] = result
-                continue
+                for det in group:
+                    if det._bank is not bank:
+                        bank.attach(det)
+                out, staged = _ingest(bank, group, rows[:, :, :6],
+                                      rows[:, :, 6])
             except Exception:
                 _logger.exception(
                     "stacked ingest raised for %d lanes; rerunning them "
-                    "one at a time", len(lanes))
-        for i, lane in members:
+                    "one at a time", len(group))
+            else:
+                for k, result in out.items():
+                    results[members[k]] = result
+                if staged is not None:
+                    parts.append(staged._replace(
+                        lane=np.asarray(members)[staged.lane]))
+                continue
+        if offsets is None:
+            offsets = [0, *accumulate(lengths)]
+        for i, det in zip(members, group):
+            lane = block[offsets[i]:offsets[i] + n]
+            t_list = lane[:, 6].tolist()
             try:
-                results[i] = _ingest_one(*lane)
+                det._flush_held()
+                results[i] = _ingest_one(
+                    det, lane[:, :3], lane[:, 3:6],
+                    None if all(v != v for v in t_list) else t_list)
             except Exception as exc:
                 results[i] = exc
-    return results
+    if len(parts) > 1:
+        return results, _Staged(*map(np.concatenate, zip(*parts)))
+    return results, parts[0] if parts else None
+
+
+def _requests(staged: _Staged | None, lanes: int) -> list:
+    """Each of ``lanes`` lanes' :class:`WindowRequest` list for the
+    windows ``staged`` holds."""
+    requests: list = [[] for _ in range(lanes)]
+    if staged is not None:
+        for lane, index, time_s, hit, window in zip(
+                staged.lane.tolist(), staged.sample_index.tolist(),
+                staged.time_s.tolist(), staged.fallback_hit.tolist(),
+                staged.windows):
+            requests[lane].append(WindowRequest(window, index, time_s, hit))
+    return requests
+
+
+def complete_clean(dets, staged: _Staged, probs, latency_ms: float) -> list:
+    """:meth:`FallDetector.complete` for every window of ``staged`` at
+    once; returns ``(window, detection)`` for each window that fires, in
+    ``staged`` order.
+
+    The caller vouches for what makes this the per-window result: the
+    windows' lanes (``dets[staged.lane]``) were clean when they staged
+    them, share one bank whose owner flushes stage costs per round,
+    ``probs`` are all finite and ``latency_ms`` is within the deadline.
+    So, per lane and in row order, each window observes ``latency_ms``
+    on the lane's deadline histogram and clears its violation streak,
+    and the threshold and the hit streak run in closed form over the
+    windows, seeded by each lane's carried streak; a
+    :class:`Detection` is built only for a window that fires.
+    """
+    cfg = dets[int(staged.lane[0])].config
+    lane = staged.lane
+    k = lane.size
+    probs = np.asarray(probs, dtype=float)
+    opens = np.empty(k, dtype=bool)
+    opens[0] = True
+    np.not_equal(lane[1:], lane[:-1], out=opens[1:])
+    heads = np.flatnonzero(opens)           # each lane's first window
+    tails = np.append(heads[1:], k) - 1     # and its last
+    segment = np.cumsum(opens) - 1
+    head = heads[segment]
+    seg_lanes = lane[heads].tolist()
+    carried = np.array([dets[i]._hit_streak for i in seg_lanes])
+    # A miss resets the streak: each window's is its distance from the
+    # lane's latest miss, plus the carried streak while none occurred.
+    hit = probs >= cfg.threshold
+    index = np.arange(k)
+    last_miss = np.maximum.accumulate(np.where(hit, head - 1, index))
+    streak = index - last_miss + np.where(last_miss < head,
+                                          carried[segment], 0)
+    for i, final, windows in zip(seg_lanes, streak[tails].tolist(),
+                                 (tails - heads + 1).tolist()):
+        det = dets[i]
+        det._hit_streak = final
+        det._consecutive_violations = 0
+        for _ in range(windows):
+            det.latency.observe(latency_ms)
+    fire = np.flatnonzero(hit & (streak >= cfg.consecutive_required))
+    return [(j, Detection(sample_index=sample, time_s=time_s,
+                          probability=prob, source="cnn"))
+            for j, sample, time_s, prob in zip(
+                fire.tolist(), staged.sample_index[fire].tolist(),
+                staged.time_s[fire].tolist(), probs[fire].tolist())]
 
 
 def _parse(accel_g, gyro_dps, t):
@@ -1508,8 +1681,8 @@ def _ingest_one(det, accel, gyro, t_list) -> tuple:
         # if the stream ever had one.
         anchor = (state.raw[0, 1].copy() if state.streaks[0, 0] >= 0
                   else None)
-    repaired, data_anom, dead = _validate(d, state, accel[None],
-                                          gyro[None], counts)
+    repaired, data_anom, dead = _validate(
+        d, state, np.concatenate([accel, gyro], axis=1)[None], counts)
     ex6, expansion, segments = repaired, None, None
     if gaps is not None:
         ex6, expansion, segments = _expand(d, repaired[0], gaps, anchor,
@@ -1517,12 +1690,10 @@ def _ingest_one(det, accel, gyro, t_list) -> tuple:
         ex6 = ex6[None]
     if clk is not None:
         spent[_INGEST] += clk() - t0
-    ring = [det._buffer, det._filled, det._since_last_inference]
     fb = det._fb
     if fb is None and d.fallback is not None:
         fb = det._fb = state.fb_state[0].tolist()
-    (out,) = _stream_pass(d, state, ex6, segments, (ring,), clk, spent, fb)
-    det._buffer, det._filled, det._since_last_inference = ring
+    cuts, hits = _stream_pass(d, state, ex6, segments, clk, spent, fb)
     det._last_t = clock
     if counts:
         _add_counts((det,), counts)
@@ -1531,7 +1702,8 @@ def _ingest_one(det, accel, gyro, t_list) -> tuple:
     result = det._decide_rows(accel, gyro, repaired[0],
                               None if data_anom is None else data_anom[0],
                               None if dead is None else dead[0], plan[0],
-                              plan[1], expansion, *out)
+                              plan[1], expansion,
+                              *_evidence(d, cuts, 0, ex6.shape[1]), hits[0])
     if clk is not None:
         spent[_DECISION] += clk() - t0
         if result[1]:
@@ -1548,92 +1720,169 @@ def _add_counts(dets, counts: dict) -> None:
                 det._counter(name).inc(count)
 
 
-def _ingest(bank: LaneBank, lanes) -> list:
-    """:func:`_ingest_one` for a stacked group — ``lanes`` of ``(det,
-    accel, gyro, t_list)`` sharing one bank and block length — as one
-    pass over ``(lanes, n, ...)`` arrays; returns each lane's
-    ``(detections, requests)``, or the exception its decision replay
-    raised.
+def _ingest(bank: LaneBank, dets, exact, t) -> tuple:
+    """:func:`_ingest_one` for a stacked group — ``dets`` sharing one
+    bank, their blocks as ``exact (lanes, n, 6)`` readings and ``t
+    (lanes, n)`` timestamps (NaN: missing) — as one pass over ``(lanes,
+    n, ...)`` arrays; returns ``(results, staged)`` as
+    :func:`ingest_round` does, lanes indexing ``dets``.
 
     The group works on a gathered copy of its bank rows, scattered back
-    — with every lane's window ring, clock and counters — only once
-    every phase has succeeded; then each lane replays its decisions.  A
-    lane whose block holds gap fills or long-gap resets leaves the stack
-    after validation and planning and runs the stream phases alone.
+    — with every lane's clock and counters — only once every phase has
+    succeeded.  A lane whose block holds gap fills or long-gap resets
+    leaves the stack after validation and planning and runs the stream
+    phases alone.  Then the decisions.  A lane is *clean* when it is
+    ``healthy`` with a model, an unshed CNN and no recorder, and its
+    block has no data or clock anomaly, no gap fill, no dead-sensor row
+    and no fallback hit on a row before its window first fills — exactly
+    when :meth:`FallDetector._decide_rows` would take its fast path and
+    decide nothing but to stage each due window as a request (the
+    fallback decides only rows the CNN cannot take).  Clean lanes
+    advance their sample and clean-streak counters, and their due
+    windows are one take from the group's window history, with their
+    sample indices, times and fallback hits as arrays; every other lane
+    replays its decisions one by one.
     """
     d = bank.design
-    dets = [lane[0] for lane in lanes]
-    t_lists = [lane[3] for lane in lanes]
     for det in dets:
-        det._flush_fallback()
-        det._flush_spent()
+        if det._held_t or det._fb is not None or det._spent is not None:
+            det._flush_held()
+            det._flush_fallback()
+            det._flush_spent()
     rows = np.array([det._row for det in dets])
     state = bank.gather(rows)
-    accel = np.array([lane[1] for lane in lanes])
-    gyro = np.array([lane[2] for lane in lanes])
+    lanes, n = exact.shape[:2]
     st = bank.stages
     clk = None if st is None else st.clock
     spent = None if st is None else [0.0] * len(STAGES)
-    n = accel.shape[1]
     if clk is not None:
         t0 = clk()
     counts: dict = {}
-    plans, clocks = _plan(d, dets, t_lists, n, counts)
+    plans, clocks = _plan(d, dets, t, counts)
+    gapped = [k for k, plan in plans.items() if plan[2] is not None]
     # Gap interpolation starts from the block's predecessor: the carried
     # last repaired sample, if the stream ever had one.
     anchors = {k: (state.raw[k, 1].copy(), state.streaks[k, 0] >= 0)
-               for k, plan in enumerate(plans) if plan[2] is not None}
-    repaired, data_anom, dead = _validate(d, state, accel, gyro, counts)
+               for k in gapped}
+    repaired, data_anom, dead = _validate(d, state, exact, counts)
     if clk is not None:
         spent[_INGEST] += clk() - t0
-    rings = [[det._buffer, det._filled, det._since_last_inference]
-             for det in dets]
-    outputs: list = [None] * len(dets)
-    regular = [k for k, plan in enumerate(plans) if plan[2] is None]
-    if len(regular) == len(dets):
-        passed = _stream_pass(d, state, repaired, None, rings, clk, spent)
-        outputs = [(None,) + out for out in passed]
-    elif regular:
+    # The reset-free lanes stream as one stack; `at` is each lane's row
+    # of that stack's window history and hits.
+    regular = np.ones(lanes, dtype=bool)
+    regular[gapped] = False
+    at = np.cumsum(regular) - 1
+    cut, hits = None, None
+    if not gapped:
+        (cut,), hits = _stream_pass(d, state, repaired, None, clk, spent)
+    elif len(gapped) < lanes:
         sub = _BankRows(*(field[regular] for field in state))
-        passed = _stream_pass(d, sub, repaired[regular], None,
-                              [rings[k] for k in regular], clk, spent)
+        (cut,), hits = _stream_pass(d, sub, repaired[regular], None, clk,
+                                    spent)
         for field, part in zip(state, sub):
             field[regular] = part
-        for k, out in zip(regular, passed):
-            outputs[k] = (None,) + out
-    for k, (anchor, seen) in anchors.items():
+    alone = {}
+    for k in gapped:
+        anchor, seen = anchors[k]
         if clk is not None:
             t0 = clk()
         ex6, expansion, segments = _expand(d, repaired[k], plans[k][2],
                                            anchor if seen else None, k,
-                                           counts, len(dets))
+                                           counts, lanes)
         if clk is not None:
             spent[_INGEST] += clk() - t0
-        (out,) = _stream_pass(d, _BankRows(*(f[k:k + 1] for f in state)),
-                              ex6[None], segments, rings[k:k + 1], clk,
-                              spent)
-        outputs[k] = (expansion,) + out
-    bank.scatter(rows, state)
-    for det, ring, clock in zip(dets, rings, clocks):
-        det._buffer, det._filled, det._since_last_inference = ring
-        det._last_t = clock
-    _add_counts(dets, counts)
+        cuts, lane_hits = _stream_pass(
+            d, _BankRows(*(f[k:k + 1] for f in state)), ex6[None],
+            segments, clk, spent)
+        alone[k] = (expansion, cuts, lane_hits[0])
     if clk is not None:
         t0 = clk()
-    results = []
-    for k, lane in enumerate(lanes):
-        try:
-            results.append(lane[0]._decide_rows(
-                lane[1], lane[2], repaired[k],
-                None if data_anom is None else data_anom[k],
-                None if dead is None else dead[k], *plans[k][:2],
-                *outputs[k]))
-        except Exception as exc:
-            results.append(exc)
+    clean = np.array([det._health == HEALTHY and det.model is not None
+                      and not det._cnn_shed and det.recorder is None
+                      for det in dets])
+    clean[list(plans)] = False
+    if data_anom is not None:
+        clean &= ~data_anom.any(axis=1)
+    if dead is not None:
+        clean &= ~dead.any(axis=(1, 2))
+    if hits is not None:
+        # A fallback hit decides only a row whose window never filled.
+        _, _, _, first, _, warm = cut
+        cold = warm[:, None] & (np.arange(n) < first[:, None])
+        clean[regular] &= ~(hits & cold).any(axis=1)
+    quiet = np.flatnonzero(clean).tolist()
+    staged = bases = None
+    if quiet:
+        bases = [dets[k]._sample_index for k in quiet]
+        staged = _stage(d, cut, hits, np.array(quiet), at, bases, rows, t)
+    bank.scatter(rows, state)
+    for det, clock in zip(dets, clocks):
+        det._last_t = clock
+    _add_counts(dets, counts)
+    if quiet:
+        for k, base in zip(quiet, bases):
+            det = dets[k]
+            det._sample_index = base + n
+            det._clean_streak += n
+    results = {}
+    if len(quiet) < lanes:
+        no_anom = [False] * n
+        for k in np.flatnonzero(~clean).tolist():
+            if k in alone:
+                expansion, cuts, lane_hits = alone[k]
+                p = 0
+            else:
+                expansion, cuts, lane_hits = None, (cut,), hits[at[k]]
+                p = at[k]
+            plan = plans.get(k)
+            if plan is None:        # the clean plan: no anomaly, no gap
+                plan = (no_anom, [None] * n if np.isnan(t[k, 0])
+                        else t[k].tolist(), None)
+            try:
+                results[k] = dets[k]._decide_rows(
+                    exact[k, :, :3], exact[k, :, 3:], repaired[k],
+                    None if data_anom is None else data_anom[k],
+                    None if dead is None else dead[k], plan[0], plan[1],
+                    expansion, *_evidence(d, cuts, p, len(lane_hits)),
+                    lane_hits.tolist())
+            except Exception as exc:
+                results[k] = exc
     if clk is not None:
         spent[_DECISION] += clk() - t0
-        _charge(st, rows, spent, [len(out[3]) for out in outputs])
-    return results
+        sizes = np.full(lanes, float(n))
+        for k, (_, _, lane_hits) in alone.items():
+            sizes[k] = len(lane_hits)
+        _charge(st, rows, spent, sizes)
+    return results, staged
+
+
+def _stage(d, cut, hits, quiet, at, bases, rows, t) -> _Staged | None:
+    """The due windows of the clean lanes ``quiet`` (indices into the
+    group, whose sample indices were ``bases`` before the block) as a
+    :class:`_Staged`, from ``cut`` and ``hits``, the group's one
+    reset-free stretch and fallback hits: one take from its window
+    history, in lane order, then row order.  ``None`` when none of them
+    came due."""
+    _, _, hist, first, count, _ = cut
+    src = at[quiet]
+    per_lane = count[src]
+    if not per_lane.any():
+        return None
+    lane = np.repeat(quiet, per_lane)
+    src = np.repeat(src, per_lane)
+    nth = np.arange(lane.size) - np.repeat(np.cumsum(per_lane) - per_lane,
+                                           per_lane)
+    r = first[src] + nth * d.hop_n
+    index = np.repeat(bases, per_lane) + r + 1
+    # A timed lane's window carries its sample's timestamp, an untimed
+    # one's the nominal time of its sample index.
+    stamp = t[lane, r]
+    time_s = np.where(np.isnan(stamp), index / d.config.fs, stamp)
+    span = hist.shape[1]
+    windows = np.take(hist.reshape(-1, hist.shape[2]),
+                      (src * span + r)[:, None]
+                      + np.arange(1, d.window_n + 1), axis=0)
+    return _Staged(lane, rows[lane], index, time_s, hits[src, r], windows)
 
 
 def _charge(stages: StageTimer, rows, spent: list, sizes: list) -> None:
@@ -1647,11 +1896,11 @@ def _charge(stages: StageTimer, rows, spent: list, sizes: list) -> None:
     stages.pending[rows] += costs
 
 
-def _validate(d, state: _BankRows, accel, gyro, counts: dict):
+def _validate(d, state: _BankRows, exact, counts: dict):
     """Repair non-finite readings, clamp to the sensor rails and track
-    stuck channels / dead sensors for a group's ``(lanes, n, 3)`` blocks
-    in vectorized passes over their ``(lanes, n, 6)`` stack, advancing
-    ``state``'s trackers in place.
+    stuck channels / dead sensors for a group's blocks of readings
+    ``exact (lanes, n, 6)`` (accel, then gyro) in vectorized passes,
+    advancing ``state``'s trackers in place.
 
     Non-finite entries hold the last repaired value of their channel
     (bootstrap: 1 g gravity for accel, zero rate for gyro); out-of-range
@@ -1671,7 +1920,6 @@ def _validate(d, state: _BankRows, accel, gyro, counts: dict):
     ``None``: no streak survives the block's first row.  Anomaly counts
     go to ``counts``.
     """
-    exact = np.concatenate([accel, gyro], axis=2)
     lanes, n = exact.shape[:2]
     raw = state.raw
     # NaN never compares equal, so neither a NaN reading nor the first
@@ -1737,54 +1985,45 @@ def _validate(d, state: _BankRows, accel, gyro, counts: dict):
     return repaired, data_anom, over_limit[:, :, 6:]
 
 
-def _plan(d, dets, t_lists, n: int, counts: dict):
-    """Classify every lane's timestamps; returns per lane ``(ts_anom,
-    real_t, gaps)`` — per incoming sample the clock/gap anomaly flag and
-    the timestamp (``None`` when missing or non-finite), and ``gaps``
-    ``(fills, resets, fill_base, n_resets)``, or ``None`` when the block
-    needs neither fills nor resets — and each lane's clock after it.
+def _plan(d, dets, t, counts: dict):
+    """Classify every lane's timestamps ``t (lanes, n)`` (NaN: missing);
+    returns ``(plans, clocks)``: ``plans`` maps each lane that fails the
+    stacked clean test to its plan ``(ts_anom, real_t, gaps)`` — per
+    incoming sample the clock/gap anomaly flag and the timestamp
+    (``None`` when missing or non-finite), and ``gaps`` ``(fills,
+    resets, fill_base, n_resets)``, or ``None`` when the block needs
+    neither fills nor resets — and ``clocks`` holds each lane's clock
+    after the block.
 
-    The stacked all-clean test first: a lane whose block is fully
-    timestamped at a period that needs no fill (or is untimestamped with
-    no clock yet) plans no fills, resets or anomalies, and its clock ends
-    at its last timestamp.  The others take :func:`_plan_clock`.
+    The clean test, stacked: a lane whose block is fully timestamped at
+    a period that needs no fill (or untimestamped, with no clock yet)
+    plans no fills, resets or anomalies, and its clock ends at its last
+    timestamp (or stays ``None``).  The others take
+    :func:`_plan_clock`.
     """
     clocks = [det._last_t for det in dets]
-    plans: list = [None] * len(dets)
-    scalar = []
-    no_anom = [False] * n
-    untimed = [None] * n
-    timed = []
-    for k, t_list in enumerate(t_lists):
-        if t_list is not None:
-            timed.append(k)
-        elif clocks[k] is None:
-            plans[k] = (no_anom, untimed, None)
-        else:
-            scalar.append(k)
-    if timed:
-        dt_nom = d.dt_nom
-        t = np.array([t_lists[k] for k in timed], dtype=float)
-        prev = np.array([np.nan if clocks[k] is None else clocks[k]
-                         for k in timed])
-        dt = np.diff(t, axis=1, prepend=prev[:, None])
-        # The scalar plan's tests, elementwise: no early/duplicate sample
-        # (dt < half a period) and no missing one (round(dt / period) >=
-        # 2; np.rint rounds half to even like round()).
-        ok = (dt >= 0.5 * dt_nom) & (np.rint(dt / dt_nom) <= 1.0)
-        ok[:, 0] |= np.isnan(prev)
-        good = ok.all(axis=1) & np.isfinite(t).all(axis=1)
-        for k, is_clean in zip(timed, good.tolist()):
-            if is_clean:
-                plans[k] = (no_anom, t_lists[k], None)
-                clocks[k] = t_lists[k][-1]
-            else:
-                scalar.append(k)
+    n = t.shape[1]
+    prev = np.array([math.nan if c is None else c for c in clocks])
+    dt_nom = d.dt_nom
+    dt = np.diff(t, axis=1, prepend=prev[:, None])
+    # The scalar plan's tests, elementwise: no early/duplicate sample (dt
+    # < half a period) and no missing one (round(dt / period) >= 2;
+    # np.rint rounds half to even like round()).
+    ok = (dt >= 0.5 * dt_nom) & (np.rint(dt / dt_nom) <= 1.0)
+    ok[:, 0] |= np.isnan(prev)
+    timed = ok.all(axis=1) & np.isfinite(t).all(axis=1)
+    fresh = np.isnan(prev) & np.isnan(t).all(axis=1)
+    plans: dict = {}
+    if timed.any():
+        last = t[:, -1].tolist()
+        for k in np.flatnonzero(timed).tolist():
+            clocks[k] = last[k]
+    scalar = np.flatnonzero(~(timed | fresh)).tolist()
     if scalar:
         anomalies = [0] * len(dets)
         for k in scalar:
             plans[k], clocks[k], anomalies[k] = _plan_clock(
-                d, t_lists[k], n, clocks[k])
+                d, t[k].tolist(), n, clocks[k])
         if any(anomalies):
             counts["clock_anomalies"] = anomalies
     return plans, clocks
@@ -1893,34 +2132,31 @@ def _expand(d, repaired, gaps, anchor, k: int, counts: dict,
     return ex6, expansion, segments
 
 
-def _stream_pass(d, state: _BankRows, ex6, segments, rings, clk,
-                 spent, fb=None) -> list:
+def _stream_pass(d, state: _BankRows, ex6, segments, clk, spent,
+                 fb=None) -> tuple:
     """Fusion, the SOS filter, scaling, window assembly and the fallback
-    over ``ex6 (lanes, m, 6)``, advancing ``state`` and the lanes' window
-    ``rings`` (``[buffer, filled, since last inference]``) in place.
-    ``segments`` cuts a lane's rows at its long-gap resets, where filter,
-    fusion and window start over (``None``: one reset-free stretch).
-    ``fb`` is a lane alone's carried fallback state (a list, used in
-    place of ``state.fb_state``).  Phase times (seconds) add to the
-    ``spent`` list, one entry per stage, when ``clk`` is given.
-    Returns per lane ``(windows, ready, fallback hits)``: the full window
-    each due row stages, and per row whether its window had filled."""
+    over ``ex6 (lanes, m, 6)``, advancing ``state`` — window ring and
+    cadence counters included — in place.  ``segments`` cuts a lane's
+    rows at its long-gap resets, where filter, fusion and window start
+    over (``None``: one reset-free stretch).  ``fb`` is a lane alone's
+    carried fallback state (a list, used in place of
+    ``state.fb_state``).  Phase times (seconds) add to the ``spent``
+    list, one entry per stage, when ``clk`` is given.
+
+    Returns ``(cuts, hits)``: per reset-free stretch ``(offset, rows)
+    + _window(...)`` (see :func:`_window` and :func:`_evidence`), and
+    each lane's fallback hit per row — a ``(lanes, m)`` bool array, or a
+    lane alone's list."""
     lanes, m = ex6.shape[:2]
-    if lanes == 1:          # a one-row push: spare it two comprehensions
-        windows, ready = [{}], [[True] * m]
-    else:
-        windows = [{} for _ in range(lanes)]
-        ready = [[True] * m for _ in range(lanes)]
+    cuts = []
     if clk is not None:
         lap = clk()
     for a, b, is_reset in segments or ((0, m, False),):
         if is_reset:
             # The CNN stays silent until its window refills; the
             # fallback keeps guarding throughout.
-            state.sos[:] = np.nan
-            state.angles[:] = np.nan
-            for ring in rings:
-                ring[:] = (np.zeros_like(ring[0]), 0, 0)
+            for name in _STREAM_FIELDS:
+                getattr(state, name)[:] = getattr(d.layout, name)[2]
         seg = ex6 if b - a == m else ex6[:, a:b]
         if lanes == 1:
             euler = d.fusion.advance(state.angles[0], seg[0, :, :3],
@@ -1938,55 +2174,77 @@ def _stream_pass(d, state: _BankRows, ex6, segments, rings, clk,
             now = clk()
             spent[_FILTER] += now - lap
             lap = now
-        for lane in range(lanes):
-            _window(d, rings[lane], scaled[lane], a, windows[lane],
-                    ready[lane])
+        cuts.append((a, b - a) + _window(d, state, scaled))
         if clk is not None:
             now = clk()
             spent[_WINDOW] += now - lap
             lap = now
-    if d.fallback is None:
-        hits = [[False] * m] * lanes
-    elif fb is not None:
+    if fb is not None:
         hits = [d.fallback._steps(fb, ex6[0, :, :3].tolist())]
+    elif d.fallback is None:
+        hits = np.zeros((lanes, m), dtype=bool)
     else:
         hits = d.fallback.push_lanes(state.fb_state, ex6[:, :, :3])
     if clk is not None:
         spent[_DECISION] += clk() - lap
-    return list(zip(windows, ready, hits))
+    return cuts, hits
 
 
-def _window(d, ring: list, scaled, offset: int, windows: dict,
-            ready: list) -> None:
-    """Window assembly for one lane's reset-free stretch: due rows get
-    views of the full window into one grown history (instead of a
-    ring-buffer roll per row), rows before the window first fills are
-    marked not ready, and ``ring`` advances."""
+def _window(d, state: _BankRows, scaled) -> tuple:
+    """Window assembly for a reset-free stretch of every lane of
+    ``state``: appends ``scaled (lanes, m, 9)`` to each lane's ring and
+    advances ``filled`` and ``since`` in closed form.  Returns ``(hist,
+    first, count, warm)``: the grown history ``(lanes, window_n + m,
+    9)``, and per lane the first due row, how many rows are due (one
+    every ``hop_n`` from the first; row ``r``'s full window is ``hist[
+    lane, r + 1:r + 1 + window_n]``) and whether the ring was still
+    warming up (rows before the first then have no full window)."""
     window_n, hop_n = d.window_n, d.hop_n
-    buffer, filled, since = ring
-    m = scaled.shape[0]
-    hist = np.concatenate([buffer, scaled], axis=0)
-    # The cadence counters in closed form: the first due row completes
-    # the warm-up (or the pending hop), then one due every hop_n rows.
-    if filled < window_n:
-        first = window_n - filled - 1
-        if first > 0:
-            cold = min(first, m)
+    m = scaled.shape[1]
+    hist = np.concatenate([state.ring, scaled], axis=1)
+    filled, since = state.filled, state.since
+    state.ring[:] = hist[:, m:]
+    if len(scaled) == 1:
+        # A lane alone: the same closed form on Python ints, which spares
+        # a one-row push a dozen array calls.
+        have, gone = int(filled[0]), int(since[0])
+        warm = have < window_n
+        first = window_n - 1 - have if warm else hop_n - 1 - gone
+        count = max((m - 1 - first) // hop_n + 1, 0)
+        if count:
+            since[0] = m - 1 - first - (count - 1) * hop_n
+        elif not warm:
+            since[0] = gone + m
+        filled[0] = min(have + m, window_n)
+        return hist, (first,), (count,), (warm,)
+    warm = filled < window_n
+    # The first due row completes the warm-up (or the pending hop), then
+    # one comes due every hop_n rows.
+    first = np.where(warm, window_n - 1 - filled, hop_n - 1 - since)
+    count = np.maximum((m - 1 - first) // hop_n + 1, 0)
+    since[:] = np.where(count > 0, m - 1 - first - (count - 1) * hop_n,
+                        np.where(warm, since, since + m))
+    np.minimum(filled + m, window_n, out=filled)
+    return hist, first, count, warm
+
+
+def _evidence(d, cuts, lane: int, m: int) -> tuple:
+    """One lane's ``(windows, ready)`` for
+    :meth:`FallDetector._decide_rows` from :func:`_stream_pass`' ``cuts``
+    (``lane`` indexing their arrays): each due row's full window (a view
+    of the history) and, per row of ``m``, whether its window had
+    filled."""
+    hop_n, window_n = d.hop_n, d.window_n
+    windows: dict = {}
+    ready = [True] * m
+    for offset, rows, hist, first, count, warm in cuts:
+        r0 = int(first[lane])
+        if warm[lane] and r0 > 0:
+            cold = min(r0, rows)
             ready[offset:offset + cold] = [False] * cold
-    else:
-        first = hop_n - since - 1
-    due = range(first, m, hop_n)
-    for r in due:
-        # After ingesting row r the ring holds exactly these window_n
-        # rows; _decide copies the view.
-        windows[offset + r] = hist[r + 1:r + 1 + window_n]
-    if due:
-        since = m - 1 - due[-1]
-    elif filled >= window_n:
-        since += m
-    # A view: nothing writes the ring in place (a reset rebinds it), so
-    # the windows staged from hist stay intact.
-    ring[:] = (hist[m:], min(window_n, filled + m), since)
+        for r in range(r0, r0 + hop_n * int(count[lane]), hop_n):
+            windows[offset + r] = hist[lane, r + 1:r + 1 + window_n]
+    return windows, ready
 
 
 class AirbagController:

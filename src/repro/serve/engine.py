@@ -41,13 +41,23 @@ deadline violations are exported through :mod:`repro.obs`.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from ..alerts import AlertConfig, AlertManager
-from ..core.detector import Detection, DetectorConfig, LaneBank, ingest_lanes
+from ..core.detector import (
+    Detection,
+    DetectorConfig,
+    LaneBank,
+    WindowRequest,
+    complete_clean,
+    ingest_lanes,
+    ingest_round,
+)
 from ..nn.config import batch_invariant
 from ..obs import (
     FlightConfig,
@@ -69,6 +79,12 @@ _logger = get_logger(__name__)
 #: dominate, then powers of two up to 4096 windows.
 _BATCH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _LATENCY_BUCKETS_MS = tuple(0.01 * 2 ** i for i in range(23))
+
+#: One round's ingest: the due sessions, in session order, and their
+#: detectors; the windows the clean lanes staged, as arrays (a
+#: ``repro.core.detector._Staged``, or ``None``); and every other lane's
+#: staged windows as ``(lane, request)`` pairs, in lane order.
+_Round = namedtuple("_Round", "sessions dets staged slow")
 
 
 @dataclass(frozen=True)
@@ -155,12 +171,13 @@ class ServeEngine(FrontDoor):
         super().__init__(cfg.queue_capacity)
         self.registry = registry if registry is not None else get_registry()
         self._sessions: dict[str, StreamSession] = {}
-        # Every stream's detector state lives in one row of this bank, so
-        # a round's stacked ingest indexes it instead of gathering.  Its
-        # one stage timer (7 histograms however many streams) keeps each
-        # stream's pending costs in that stream's row, and each round's
-        # completed windows flush in one call (_infer_batch).
-        # `stage_clock` is injectable for deterministic tests.
+        # Every stream's detector state lives in one row of this bank
+        # (each session's detector is built into it), so a round's
+        # stacked ingest indexes it instead of gathering.  Its one stage
+        # timer (7 histograms however many streams) keeps each stream's
+        # pending costs in that stream's row, and each round's completed
+        # windows flush in one call (_infer_batch).  `stage_clock` is
+        # injectable for deterministic tests.
         self._bank = LaneBank(cfg.detector, stage_clock=stage_clock,
                               round_flush=True)
         window_n = cfg.detector.window_samples
@@ -278,8 +295,8 @@ class ServeEngine(FrontDoor):
                 per_stream_metrics=self.config.per_stream_metrics,
                 flight=self.config.flight,
                 queue_capacity=self._capacity,
+                bank=self._bank,
             )
-            self._bank.attach(session.detector)
             self._sessions[stream_id] = session
             self._queues[stream_id] = session.queue
         return session
@@ -310,25 +327,25 @@ class ServeEngine(FrontDoor):
         """Run one round: drain every queue, then infer the due windows
         in one micro-batch.
 
-        Each due session's whole queue is drained as one block, and all
-        of the round's blocks go through one
-        :func:`~repro.core.detector.ingest_lanes` call (the detectors'
-        one ingest path): same-length blocks fuse, filter and run their
-        clean-block checks as one lane-stacked pass, and a session whose
-        lane raises is quarantined alone.  Then one batched forward runs
-        for all staged windows across streams (an empty one when none
-        came due).  Nothing enqueues during a step, so every queue is
-        empty after it.  The queue-depth gauge is set once, to the
-        deepest any stream's queue got since the previous step (burst
-        peaks included), and keeps that reading until the next step, so
-        the exposition and the dashboard see a burst between rounds.
-        Returns ``(stream_id, detection)`` pairs in processing order.
+        Every due session's queue is drained in one pass over all of
+        them, into one ``(rows, 7)`` array, and the round goes through
+        one :func:`~repro.core.detector.ingest_round` call (the
+        detectors' one ingest path): same-length blocks fuse, filter,
+        window and run their clean-block checks as one lane-stacked
+        pass, a clean lane's decisions replay as array operations, and a
+        session whose lane raises is quarantined alone.  Then one
+        batched forward runs for all staged windows across streams (an
+        empty one when none came due), and the clean lanes' windows
+        complete in one vectorized pass unless the batch missed its
+        deadline.  Nothing enqueues during a step, so every queue is
+        empty after it.  The queue-depth gauge is set once, from the
+        queue lengths the drain reads, to the deepest any stream's queue
+        got since the previous step (burst peaks included), and keeps
+        that reading until the next step, so the exposition and the
+        dashboard see a burst between rounds.  Returns ``(stream_id,
+        detection)`` pairs in processing order.
         """
         detections: list[tuple[str, Detection]] = []
-        # Queues only grow between steps, so their depth now is the
-        # deepest any got since the previous step.
-        self._queue_depth_gauge.set(float(max(
-            (len(s.queue) for s in self._sessions.values()), default=0)))
         self._infer_batch(self._advance_round(detections), detections)
         self.rounds += 1
         now = self._stream_now
@@ -343,51 +360,81 @@ class ServeEngine(FrontDoor):
         self._sync_metrics()
         return detections
 
-    def _advance_round(self, detections) -> list[StreamSession]:
-        """Drain every due session's queue as one block and ingest all
-        of them in one :func:`~repro.core.detector.ingest_lanes` call;
-        returns the sessions that staged windows this round."""
-        due = []
-        blocks = []
+    def _advance_round(self, detections) -> _Round:
+        """Drain every due session's queue with one ``np.fromiter`` over
+        all of them and ingest the round in one
+        :func:`~repro.core.detector.ingest_round` call; returns the
+        round's sessions and the windows they staged."""
+        due, lengths = [], []
         for session in self._sessions.values():
-            if session.quarantined:
-                session.queue.clear()
-                continue
-            if not session.queue:
-                continue
+            if session.queue:
+                if session.quarantined:
+                    session.queue.clear()
+                    continue
+                due.append(session)
+                lengths.append(len(session.queue))
+        # Queues only grow between steps, so their depth now is the
+        # deepest any got since the previous step.
+        self._queue_depth_gauge.set(float(max(lengths, default=0)))
+        if not due:
+            return _Round(due, [], None, [])
+        try:
+            block = np.fromiter(
+                chain.from_iterable(chain.from_iterable(
+                    session.queue for session in due)),
+                float, 7 * sum(lengths))
+        except Exception:
+            # Submits queue only well-formed rows; should a malformed one
+            # reach a queue anyway, drain session by session, so that
+            # stream alone is quarantined.
+            return self._advance_lanes(due, detections)
+        for session in due:
+            session.queue.clear()
+        dets = [session.detector for session in due]
+        results, staged = ingest_round(dets, block.reshape(-1, 7), lengths)
+        return _Round(due, dets, staged,
+                      self._take(due, sorted(results.items()), detections))
+
+    def _advance_lanes(self, due, detections) -> _Round:
+        """The round session by session: each queue stacked on its own
+        (:meth:`StreamSession.drain_block`, whose failure quarantines
+        the stream), then one :func:`~repro.core.detector.ingest_lanes`
+        call."""
+        drained, blocks = [], []
+        for session in due:
             try:
                 accel, gyro, t = session.drain_block()
             except Exception as exc:
                 self._quarantine(session, exc)
                 continue
-            due.append(session)
+            drained.append(session)
             blocks.append((session.detector, accel, gyro, t))
-        staged_sessions = []
-        for session, result in zip(due, ingest_lanes(blocks)):
+        return _Round(drained, [session.detector for session in drained],
+                      None, self._take(drained, enumerate(
+                          ingest_lanes(blocks)), detections))
+
+    def _take(self, sessions, results, detections) -> list:
+        """Quarantine each lane of ``results`` (``(lane, result)`` in
+        lane order) that raised and take the others' fallback
+        detections; returns the windows they staged as ``(lane,
+        request)`` pairs, in order."""
+        slow = []
+        for i, result in results:
+            session = sessions[i]
             if isinstance(result, Exception):
                 self._quarantine(session, result)
                 continue
             hits, requests = result
             for hit in hits:
-                session.detections += 1
-                self.detections += 1
-                detections.append((session.stream_id, hit))
-            if requests:
-                session.staged = requests
-                staged_sessions.append(session)
-        return staged_sessions
+                self._fire(session, hit, detections)
+            slow.extend([(i, request) for request in requests])
+        return slow
 
-    def _infer_batch(self, staged_sessions, detections) -> None:
+    def _infer_batch(self, round_: _Round, detections) -> None:
         """One batched forward for every staged window, one stage-timer
-        flush for all of them, then fan-out."""
-        pairs = [(session, request) for session in staged_sessions
-                 for request in session.staged]
-        for session in staged_sessions:
-            session.staged = []
-        if pairs:
-            batch = np.stack([request.window for _, request in pairs])
-        else:
-            batch = self._empty_batch
+        flush for all of them, then fan-out (:meth:`_fan_out`)."""
+        batch, where, rows = self._assemble(round_)
+        k = len(batch)
         t0 = self._clock()
         try:
             with batch_invariant():
@@ -395,32 +442,112 @@ class ServeEngine(FrontDoor):
             # (k, 1) sigmoid outputs -> (k,).  reshape(-1) on the empty
             # batch relies on predict keeping the model's output shape
             # for zero-row input (reshape(0, -1) would be ambiguous).
-            probs = (out.reshape(len(pairs), -1)[:, 0] if pairs
-                     else out.reshape(-1))
+            probs = out.reshape(k, -1)[:, 0] if k else out.reshape(-1)
         except Exception:
             self.batch_errors += 1
             _logger.exception(
                 "batched inference raised for %d windows; retrying "
-                "per window", len(pairs),
+                "per window", k,
             )
-            self._infer_singly(pairs, detections)
+            self._infer_singly(self._pairs(round_, batch, where),
+                               detections)
             return
         latency_ms = 1000.0 * (self._clock() - t0)
         self._inference_s += latency_ms / 1000.0
         self.batches += 1
-        self.windows_inferred += len(pairs)
-        self._batch_size_hist.observe(len(pairs))
-        if pairs:
+        self.windows_inferred += k
+        self._batch_size_hist.observe(k)
+        if k:
             self._batch_latency_hist.observe(latency_ms)
             if self._bank.stages is not None:
-                self._bank.stages.flush(
-                    [session.detector.stage_row for session, _ in pairs],
-                    latency_ms)
-        for (session, request), prob in zip(pairs, probs):
-            self._complete(session, request, prob, latency_ms, False,
-                           detections)
-        if self.slo is not None and pairs:
-            self._record_slo(latency_ms, len(pairs))
+                self._bank.stages.flush(rows, latency_ms)
+            self._fan_out(round_, batch, where, probs, latency_ms,
+                          detections)
+            if self.slo is not None:
+                self._record_slo(latency_ms, k)
+
+    def _assemble(self, round_: _Round) -> tuple:
+        """The round's batch in session order, then row order within a
+        stream; returns ``(batch, where, rows)``: ``where`` maps each
+        window — the clean lanes' staged ones, then the other lanes' —
+        to its batch position (``None`` when that is their order), and
+        ``rows`` holds each batch window's stage-timer row."""
+        staged, slow, dets = round_.staged, round_.slow, round_.dets
+        if staged is None:
+            if not slow:
+                return self._empty_batch, None, []
+            return (np.stack([request.window for _, request in slow]), None,
+                    [dets[i].stage_row for i, _ in slow])
+        if not slow and (staged.lane[1:] >= staged.lane[:-1]).all():
+            # The usual round: one stacked group of clean lanes, its
+            # windows taken in batch order.
+            return staged.windows, None, staged.row.tolist()
+        kc = len(staged.lane)
+        lanes = np.concatenate([staged.lane, [i for i, _ in slow]])
+        where = np.empty(len(lanes), dtype=np.intp)
+        where[np.argsort(lanes, kind="stable")] = np.arange(len(lanes))
+        batch = np.empty((len(lanes),) + self._empty_batch.shape[1:])
+        batch[where[:kc]] = staged.windows
+        rows = np.empty(len(lanes), dtype=np.intp)
+        rows[where[:kc]] = staged.row
+        for p, (i, request) in zip(where[kc:].tolist(), slow):
+            batch[p] = request.window
+            rows[p] = dets[i].stage_row
+        return batch, where, rows.tolist()
+
+    def _pairs(self, round_: _Round, batch, where) -> list:
+        """Every window of the batch as a ``(session, request)`` pair, in
+        batch order: a clean lane's window gets its request here."""
+        staged, sessions = round_.staged, round_.sessions
+        pairs = []
+        if staged is not None:
+            spots = (range(len(staged.lane)) if where is None
+                     else where.tolist())
+            pairs = [(sessions[lane],
+                      WindowRequest(batch[p], index, time_s, hit))
+                     for p, lane, index, time_s, hit in zip(
+                         spots, staged.lane.tolist(),
+                         staged.sample_index.tolist(),
+                         staged.time_s.tolist(),
+                         staged.fallback_hit.tolist())]
+        pairs += [(sessions[i], request) for i, request in round_.slow]
+        if where is None:
+            return pairs
+        return [pairs[j] for j in np.argsort(where).tolist()]
+
+    def _fan_out(self, round_: _Round, batch, where, probs, latency_ms,
+                 detections) -> None:
+        """Complete every window of the batch, detections in batch
+        order.  The clean lanes' windows complete in one
+        :func:`~repro.core.detector.complete_clean` call and the others
+        one at a time; a batch that missed the deadline, or a clean
+        window whose probability is not finite, completes every window
+        one at a time (those may shed the CNN)."""
+        staged, sessions = round_.staged, round_.sessions
+        if staged is not None:
+            kc = len(staged.lane)
+            spots = range(len(probs)) if where is None else where.tolist()
+            clean = probs[:kc] if where is None else probs[where[:kc]]
+            if (not latency_ms > self.config.detector.effective_deadline_ms
+                    and np.isfinite(clean).all()):
+                lanes = staged.lane.tolist()
+                fired = [(spots[j], sessions[lanes[j]], hit)
+                         for j, hit in complete_clean(round_.dets, staged,
+                                                      clean, latency_ms)]
+                for p, (i, request) in zip(spots[kc:], round_.slow):
+                    hit = self._complete(sessions[i], request, probs[p],
+                                         latency_ms, False)
+                    if hit is not None:
+                        fired.append((p, sessions[i], hit))
+                fired.sort(key=itemgetter(0))
+                for _, session, hit in fired:
+                    self._fire(session, hit, detections)
+                return
+        for (session, request), prob in zip(
+                self._pairs(round_, batch, where), probs):
+            hit = self._complete(session, request, prob, latency_ms, False)
+            if hit is not None:
+                self._fire(session, hit, detections)
 
     def _infer_singly(self, pairs, detections) -> None:
         """Batch failed: isolate the poison by retrying one window at a
@@ -437,16 +564,18 @@ class ServeEngine(FrontDoor):
             except Exception:
                 if stages is not None:
                     stages.flush(row)
-                self._complete(session, request, None, 0.0, True, detections)
-                continue
-            latency_ms = 1000.0 * (self._clock() - t0)
-            if stages is not None:
-                stages.flush(row, latency_ms)
-            self._inference_s += latency_ms / 1000.0
-            self.windows_inferred += 1
-            self._complete(session, request, prob, latency_ms, False,
-                           detections)
-            if self.slo is not None:
+                prob, latency_ms, failed = None, 0.0, True
+            else:
+                latency_ms = 1000.0 * (self._clock() - t0)
+                if stages is not None:
+                    stages.flush(row, latency_ms)
+                self._inference_s += latency_ms / 1000.0
+                self.windows_inferred += 1
+                failed = False
+            hit = self._complete(session, request, prob, latency_ms, failed)
+            if hit is not None:
+                self._fire(session, hit, detections)
+            if self.slo is not None and not failed:
                 self._record_slo(latency_ms, 1)
 
     def _record_slo(self, latency_ms: float, n: int) -> None:
@@ -464,19 +593,22 @@ class ServeEngine(FrontDoor):
             now=self._stream_now,
         )
 
-    def _complete(self, session, request, prob, latency_ms, failed,
-                  detections) -> None:
+    def _complete(self, session, request, prob, latency_ms,
+                  failed) -> Detection | None:
+        """One window through :meth:`FallDetector.complete`; a detector
+        that raises is quarantined."""
         try:
-            hit = session.detector.complete(
+            return session.detector.complete(
                 request, prob, latency_ms=latency_ms, failed=failed,
             )
         except Exception:
             self._quarantine(session)
-            return
-        if hit is not None:
-            session.detections += 1
-            self.detections += 1
-            detections.append((session.stream_id, hit))
+            return None
+
+    def _fire(self, session, hit, detections) -> None:
+        session.detections += 1
+        self.detections += 1
+        detections.append((session.stream_id, hit))
 
     def _feed_alerts(self, detections) -> None:
         """Escalate this round's detections and advance alert timers.
@@ -504,7 +636,6 @@ class ServeEngine(FrontDoor):
         session.quarantined = True
         self._queues.pop(session.stream_id, None)
         session.queue.clear()
-        session.staged = []
         self.stream_errors += 1
         if session.recorder is not None:
             # The most valuable capture of all: what the stream looked

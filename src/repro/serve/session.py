@@ -13,15 +13,21 @@ drops — so the two doors accept exactly the same samples.
 A :class:`StreamSession` is the unit the multi-stream engine schedules:
 it owns the per-stream filter / ring-buffer / health state (a full
 :class:`~repro.core.detector.FallDetector` driven in deferred-inference
-mode), a bounded queue of flat ``(ax, ay, az, gx, gy, gz, t)`` float
-rows (a ``submit`` appends one, a ``submit_block`` extends it by a
-block's ``tolist()``; at capacity the oldest rows fall off), and the
-per-stream accounting the engine reports.  Sessions neither ingest nor
-run the model themselves: each round the engine drains every due
-session into one block, ingests all of them in one lane-stacked
-:func:`~repro.core.detector.ingest_lanes` call, and micro-batches the
-staged :class:`~repro.core.detector.WindowRequest` objects across
-streams.
+mode, whose state is one row of the engine's
+:class:`~repro.core.detector.LaneBank`), a bounded queue of flat
+``(ax, ay, az, gx, gy, gz, t)`` float rows (a ``submit`` appends one, a
+``submit_block`` extends it by a block's ``tolist()``; at capacity the
+oldest rows fall off), and the per-stream accounting the engine
+reports.  Sessions neither ingest nor run the model themselves: each
+round the engine drains every due session's queue with one
+``np.fromiter`` over all of them, ingests the round in one
+:func:`~repro.core.detector.ingest_round` call, and micro-batches the
+staged windows across streams — a clean lane's as one take from the
+bank's window rings, any other lane's as
+:class:`~repro.core.detector.WindowRequest` objects.
+:meth:`StreamSession.drain_block` stacks one session's queue alone: the
+round falls back to it when the one drain fails (a malformed row), so
+only that stream is quarantined.
 """
 
 from __future__ import annotations
@@ -257,8 +263,10 @@ class StreamSession:
 
     ``queue`` holds the stream's submitted samples as flat float rows,
     bounded at ``queue_capacity`` (the engine's) so a full queue drops
-    its oldest row; :meth:`drain_block` stacks them into one detector
-    block each round.
+    its oldest row; the engine drains every due queue at once each
+    round, or each with :meth:`drain_block` when that fails.  ``bank``
+    is the engine's :class:`~repro.core.detector.LaneBank`, which the
+    detector joins from the start (``None``: a bank of its own).
 
     ``quarantined`` is the engine's outermost containment: the hardened
     detector promises never to raise, but if that promise is ever broken
@@ -271,7 +279,6 @@ class StreamSession:
         "detector",
         "recorder",
         "queue",
-        "staged",
         "dropped_samples",
         "detections",
         "errors",
@@ -289,6 +296,7 @@ class StreamSession:
         per_stream_metrics: bool = True,
         flight=None,
         queue_capacity: int | None = None,
+        bank=None,
     ):
         prefix = (f"{metric_prefix}/{stream_id}" if per_stream_metrics
                   else metric_prefix)
@@ -299,14 +307,11 @@ class StreamSession:
                          if flight is not None else None)
         self.detector = FallDetector(
             model, config, registry=registry, metric_prefix=prefix,
-            recorder=self.recorder,
+            recorder=self.recorder, _bank=bank,
         )
         #: Queued rows, oldest first; appending to a full queue drops
         #: the oldest (the engine counts it as shed).
         self.queue: deque = deque(maxlen=queue_capacity)
-        #: Requests staged by the stream's last ingest and not yet
-        #: completed; the engine drains this every inference round.
-        self.staged: list = []
         self.dropped_samples = 0
         self.detections = 0
         self.errors = 0

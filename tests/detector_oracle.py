@@ -42,11 +42,17 @@ class ScalarDetector(FallDetector):
     """:class:`FallDetector` with the per-sample reference ingest."""
 
     # The reference chain keeps its streaming state in plain attributes,
-    # not in a lane-bank row: this shadows the bank-reading property.
+    # not in a lane-bank row: these shadow the bank-reading properties.
     _last_raw = None
+    _buffer = None
+    _filled = None
+    _since_last_inference = None
 
     def _init_stream_state(self) -> None:
         super()._init_stream_state()
+        self._buffer = np.zeros((self._window_n, 9))
+        self._filled = 0
+        self._since_last_inference = 0
         self._filter = OnlineSosFilter(self._bank.design.filter.sos,
                                        channels=9)
         self._fusion = ComplementaryFilter(fs=self.config.fs)
