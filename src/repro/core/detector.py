@@ -488,11 +488,9 @@ class LaneBank:
     every stream's detector into its bank (:meth:`add`, or
     :meth:`attach` for one built elsewhere), so a round's stacked phases
     gather and scatter each field of all their lanes with one index
-    operation.  The stream clock stays on the detector.  So does,
-    between the passes of a lane alone, its fallback state as a list
-    (the scalar steps' own layout, which spares a one-row push an array
-    round trip); it goes back into the row before anything reads the
-    row.
+    operation.  A lane alone advances its row in place through those
+    views, so the row is always the detector's whole stream state but
+    its clock, which stays on the detector.
 
     With ``config.stage_timing`` the bank holds one
     :class:`~repro.obs.StageTimer` (``stages``) for all its detectors:
@@ -558,8 +556,6 @@ class LaneBank:
         if old.design.config != self.design.config:
             raise ValueError("a bank holds detectors of one config")
         detector._flush_held()
-        detector._flush_fallback()
-        detector._flush_spent()
         values = detector._views
         old_row = detector._row
         self.add(detector)
@@ -675,11 +671,6 @@ class FallDetector:
 
     def _init_health_state(self) -> None:
         self._bank.reset(self._row)
-        # A lane alone carries its fallback state and its stage costs as
-        # lists between its passes (see _flush_fallback, _flush_spent);
-        # None: the bank row and the stage-timer row hold them.
-        self._fb = None
-        self._spent = None
         self._last_t: float | None = None
         self._sample_index = -1
         self._hit_streak = 0
@@ -860,20 +851,6 @@ class FallDetector:
             return self._dead_override[1]
         return bool(self._views.streaks[0, 7]
                     >= self.config.dead_sensor_samples)
-
-    def _flush_fallback(self) -> None:
-        """Store the fallback state a lane alone carried (``_fb``) back in
-        this detector's bank row, before anything reads that row."""
-        if self._fb is not None:
-            self._views.fb_state[0] = self._fb
-            self._fb = None
-
-    def _flush_spent(self) -> None:
-        """Add the stage costs a lane alone carried (``_spent``) to this
-        detector's stage-timer row, before anything reads that row."""
-        if self._spent is not None:
-            self._bank.stages.pending[self._row] += self._spent
-            self._spent = None
 
     @property
     def _buffer(self) -> np.ndarray:
@@ -1220,13 +1197,13 @@ class FallDetector:
     # the decision replay (the phases before it: see ingest_lanes)
     # ------------------------------------------------------------------
     def _push_lane(self, accel_g, gyro_dps, t):
-        """One block through :func:`ingest_lanes`' phases as a group of
-        one, the decision replay included."""
+        """One block through :func:`ingest_lanes`' phases as a lane alone
+        (:func:`_ingest_one`), the decision replay included."""
         self._flush_held()
-        accel, gyro, t_list = _parse(accel_g, gyro_dps, t)
-        if accel.shape[0] == 0:
+        exact, t_list = _parse(accel_g, gyro_dps, t)
+        if exact.shape[0] == 0:
             return [], []
-        return _ingest_one(self, accel, gyro, t_list)
+        return _ingest_one(self, exact, t_list)
 
     def _hold(self, accel_g, gyro_dps, t) -> bool:
         """Hold one pushed row back when it provably changes nothing a
@@ -1286,9 +1263,8 @@ class FallDetector:
         t_list = self._held_t
         if t_list:
             self._held_t = []
-            rows = self._held[:len(t_list)]
-            detections, requests = _ingest_one(self, rows[:, :3],
-                                               rows[:, 3:], t_list)
+            detections, requests = _ingest_one(
+                self, self._held[:len(t_list)], t_list)
             assert not detections and not requests, "a held row decided"
 
     def _decide_rows(self, accel, gyro, repaired, data_anom, dead, ts_anom,
@@ -1414,8 +1390,13 @@ class FallDetector:
 #: lane-by-lane time for 1-, 4- and 20-row blocks: 1 lane 2.63x, 2.02x,
 #: 1.42x; 3 lanes 1.33x, 1.17x, 1.07x; 4 lanes 1.09x, 0.98x, 0.88x; 5
 #: lanes 0.97x, 0.87x, 0.82x; 8 lanes 0.74x, 0.68x, 0.62x; 16 lanes
-#: 0.54x, 0.51x, 0.48x.  So a lane alone keeps its own pass
-#: (:func:`_ingest_one`), and groups stack from 5 lanes.
+#: 0.54x, 0.51x, 0.48x.  So groups stack from 5 lanes, and a lane alone
+#: keeps its own pass (:func:`_ingest_one`, on the scalar fusion,
+#: fallback and window steps).  Run as a stacked group of one instead,
+#: per-sample ``push`` (the edge path; same box, seed 0, 5 interleaved
+#: A/B pairs) lost 46.6% of its samples/s and its verdict p50 rose
+#: 65.6%; with views for the gathers and the scalar steps kept, still
+#: 16.8% and 13.7%.
 _STACK_MIN_LANES = 5
 
 
@@ -1448,29 +1429,30 @@ def ingest_lanes(blocks) -> list:
     scaling, the fallback smoother (:meth:`MagnitudeFallback.push_lanes`),
     window assembly (:func:`_window`) and, for every *clean* lane, the
     decision replay.  Per lane stay the timestamp plan of a lane that
-    fails the clean test, the stream phases of a lane whose block holds
-    gap fills or long-gap resets, and the health/decision replay of a
-    lane that is not clean, with the recorder hand-over.  The group
-    scatters its rows back only once every phase has succeeded; if it
-    raises, its lanes rerun one at a time, so only a lane that raises on
-    its own is lost.  Smaller groups run lane by lane
-    (:func:`_ingest_one`, the same phases on the lane's bank row).
+    fails the clean test and the health/decision replay of a lane that
+    is not clean, with the recorder hand-over.  A lane whose block holds
+    gap fills or long-gap resets leaves its group and runs alone after
+    it.  The group scatters its rows back only once every phase has
+    succeeded; if it raises, its lanes rerun one at a time, so only a
+    lane that raises on its own is lost.  Smaller groups run lane by
+    lane.  A lane alone runs :func:`_ingest_one`: the same phases on
+    the lane's bank row, which it advances in place.
 
     Stage timing: a stacked group times each phase once, its decision
-    replay included, and charges its rows of the bank's stage timer with
-    one vectorized add (:func:`_charge`); a lane alone charges its own
-    row once per pass.
+    replay included, and charges its rows of the bank's stage timer an
+    even share each with one vectorized add; a lane alone charges its
+    own row once per pass.
     """
     results: list = [None] * len(blocks)
     designs: dict = {}
     for i, (det, accel_g, gyro_dps, t) in enumerate(blocks):
         try:
             det._flush_held()
-            accel, gyro, t_list = _parse(accel_g, gyro_dps, t)
+            exact, t_list = _parse(accel_g, gyro_dps, t)
         except Exception as exc:
             results[i] = exc
             continue
-        n = accel.shape[0]
+        n = exact.shape[0]
         if n == 0:
             results[i] = ([], [])
             continue
@@ -1478,7 +1460,7 @@ def ingest_lanes(blocks) -> list:
         t = np.array([math.nan] * n if t_list is None else t_list,
                      dtype=float)
         designs.setdefault(det._bank.design, []).append(
-            (i, det, np.concatenate([accel, gyro, t[:, None]], axis=1)))
+            (i, det, np.concatenate([exact, t[:, None]], axis=1)))
     for members in designs.values():
         out, staged = ingest_round([det for _, det, _ in members],
                                    np.concatenate([b for _, _, b in members]),
@@ -1500,8 +1482,8 @@ def ingest_round(dets, block: np.ndarray, lengths) -> tuple:
     with one index (a reshape when every lane shares the length); a
     group of at least ``_STACK_MIN_LANES`` lanes joins its first lane's
     :class:`LaneBank` (the engine's lanes all share one) and runs
-    stacked (:func:`_ingest`), the others lane by lane, as
-    :func:`ingest_lanes` describes.
+    stacked (:func:`_ingest`), the others lane by lane
+    (:func:`_ingest_alone`), as :func:`ingest_lanes` describes.
 
     Returns ``(results, staged)``: ``results`` maps the index of every
     lane that is not clean to its ``(detections, requests)`` or the
@@ -1535,8 +1517,7 @@ def ingest_round(dets, block: np.ndarray, lengths) -> tuple:
                 for det in group:
                     if det._bank is not bank:
                         bank.attach(det)
-                out, staged = _ingest(bank, group, rows[:, :, :6],
-                                      rows[:, :, 6])
+                out, staged = _ingest(bank, group, rows)
             except Exception:
                 _logger.exception(
                     "stacked ingest raised for %d lanes; rerunning them "
@@ -1551,15 +1532,7 @@ def ingest_round(dets, block: np.ndarray, lengths) -> tuple:
         if offsets is None:
             offsets = [0, *accumulate(lengths)]
         for i, det in zip(members, group):
-            lane = block[offsets[i]:offsets[i] + n]
-            t_list = lane[:, 6].tolist()
-            try:
-                det._flush_held()
-                results[i] = _ingest_one(
-                    det, lane[:, :3], lane[:, 3:6],
-                    None if all(v != v for v in t_list) else t_list)
-            except Exception as exc:
-                results[i] = exc
+            results[i] = _ingest_alone(det, block[offsets[i]:offsets[i] + n])
     if len(parts) > 1:
         return results, _Staged(*map(np.concatenate, zip(*parts)))
     return results, parts[0] if parts else None
@@ -1629,7 +1602,7 @@ def complete_clean(dets, staged: _Staged, probs, latency_ms: float) -> list:
 
 
 def _parse(accel_g, gyro_dps, t):
-    """One block as ``(accel (n, 3), gyro (n, 3), timestamps or None)``."""
+    """One block as ``(readings (n, 6), timestamps or None)``."""
     accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
     gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
     n = accel.shape[0]
@@ -1638,8 +1611,9 @@ def _parse(accel_g, gyro_dps, t):
             f"accel and gyro disagree on block length: {n} vs "
             f"{gyro.shape[0]}"
         )
+    exact = np.concatenate([accel, gyro], axis=1)
     if t is None:
-        return accel, gyro, None
+        return exact, None
     if isinstance(t, np.ndarray):
         t_list = t.astype(float).reshape(-1).tolist()
     else:
@@ -1648,30 +1622,38 @@ def _parse(accel_g, gyro_dps, t):
         raise ValueError(
             f"t must have one entry per sample: got {len(t_list)} for {n}"
         )
-    return accel, gyro, t_list
+    return exact, t_list
 
 
-def _ingest_one(det, accel, gyro, t_list) -> tuple:
-    """Every phase for a lane alone, the decision replay included;
-    returns its ``(detections, requests)``.  The lane's bank row
-    advances in place through the detector's views, except the fallback
-    state and the stage costs, which the lane carries as lists
-    (``FallDetector._fb``, ``_spent``): a one-row push would pay more for
-    each array round trip than for its own phases.  The stage costs go
-    to the lane's stage-timer row once the pass stages a window, whose
-    flush reads the row."""
+def _ingest_alone(det, block) -> tuple | Exception:
+    """:func:`_ingest_one` for one lane's rows ``block (n, 7)`` — ``(ax,
+    ay, az, gx, gy, gz, t)``, ``t`` NaN where missing — after the rows
+    its detector held; returns ``(detections, requests)``, or the
+    exception the lane raised, which stays that lane's result."""
+    try:
+        det._flush_held()
+        return _ingest_one(det, block[:, :6], block[:, 6].tolist())
+    except Exception as exc:
+        return exc
+
+
+def _ingest_one(det, exact, t_list) -> tuple:
+    """Every phase for a lane alone — its readings ``exact (n, 6)`` and
+    timestamps ``t_list`` (``None``, or one per row: ``None`` or NaN
+    where missing) — the decision replay included; returns its
+    ``(detections, requests)``.  The lane's bank row advances in place
+    through the detector's views, and the pass's stage costs go to its
+    stage-timer row once, at the end."""
     d = det._bank.design
     state = det._views
     st = det._bank.stages
     clk = None if st is None else st.clock
     spent = None
     if clk is not None:
-        if det._spent is None:
-            det._spent = [0.0] * len(STAGES)
-        spent = det._spent
+        spent = [0.0] * len(STAGES)
         t0 = clk()
     counts: dict = {}
-    plan, clock, anomalies = _plan_clock(d, t_list, accel.shape[0],
+    plan, clock, anomalies = _plan_clock(d, t_list, exact.shape[0],
                                          det._last_t)
     if anomalies:
         counts["clock_anomalies"] = [anomalies]
@@ -1681,33 +1663,28 @@ def _ingest_one(det, accel, gyro, t_list) -> tuple:
         # if the stream ever had one.
         anchor = (state.raw[0, 1].copy() if state.streaks[0, 0] >= 0
                   else None)
-    repaired, data_anom, dead = _validate(
-        d, state, np.concatenate([accel, gyro], axis=1)[None], counts)
+    repaired, data_anom, dead = _validate(d, state, exact[None], counts)
     ex6, expansion, segments = repaired, None, None
     if gaps is not None:
         ex6, expansion, segments = _expand(d, repaired[0], gaps, anchor,
-                                           0, counts, 1)
+                                           counts)
         ex6 = ex6[None]
     if clk is not None:
         spent[_INGEST] += clk() - t0
-    fb = det._fb
-    if fb is None and d.fallback is not None:
-        fb = det._fb = state.fb_state[0].tolist()
-    cuts, hits = _stream_pass(d, state, ex6, segments, clk, spent, fb)
+    cuts, hits = _stream_pass(d, state, ex6, segments, clk, spent)
     det._last_t = clock
     if counts:
         _add_counts((det,), counts)
     if clk is not None:
         t0 = clk()
-    result = det._decide_rows(accel, gyro, repaired[0],
+    result = det._decide_rows(exact[:, :3], exact[:, 3:], repaired[0],
                               None if data_anom is None else data_anom[0],
                               None if dead is None else dead[0], plan[0],
                               plan[1], expansion,
                               *_evidence(d, cuts, 0, ex6.shape[1]), hits[0])
     if clk is not None:
         spent[_DECISION] += clk() - t0
-        if result[1]:
-            det._flush_spent()
+        st.pending[det._row] += spent
     return result
 
 
@@ -1720,38 +1697,38 @@ def _add_counts(dets, counts: dict) -> None:
                 det._counter(name).inc(count)
 
 
-def _ingest(bank: LaneBank, dets, exact, t) -> tuple:
+def _ingest(bank: LaneBank, dets, block) -> tuple:
     """:func:`_ingest_one` for a stacked group — ``dets`` sharing one
-    bank, their blocks as ``exact (lanes, n, 6)`` readings and ``t
-    (lanes, n)`` timestamps (NaN: missing) — as one pass over ``(lanes,
-    n, ...)`` arrays; returns ``(results, staged)`` as
-    :func:`ingest_round` does, lanes indexing ``dets``.
+    bank, their blocks as ``block (lanes, n, 7)`` (as
+    :func:`ingest_round` takes them) — as one pass over ``(lanes, n,
+    ...)`` arrays; returns ``(results, staged)`` as :func:`ingest_round`
+    does, lanes indexing ``dets``.
 
-    The group works on a gathered copy of its bank rows, scattered back
-    — with every lane's clock and counters — only once every phase has
-    succeeded.  A lane whose block holds gap fills or long-gap resets
-    leaves the stack after validation and planning and runs the stream
-    phases alone.  Then the decisions.  A lane is *clean* when it is
-    ``healthy`` with a model, an unshed CNN and no recorder, and its
-    block has no data or clock anomaly, no gap fill, no dead-sensor row
-    and no fallback hit on a row before its window first fills — exactly
-    when :meth:`FallDetector._decide_rows` would take its fast path and
-    decide nothing but to stage each due window as a request (the
-    fallback decides only rows the CNN cannot take).  Clean lanes
-    advance their sample and clean-streak counters, and their due
+    A lane whose block holds gap fills or long-gap resets (its timestamp
+    plan says so) leaves the group before any phase runs; the others
+    stack, planned afresh so each clock anomaly counts once, and the
+    gapped lanes then run alone (:func:`_ingest_alone`).  If fewer than
+    ``_STACK_MIN_LANES`` lanes would be left, every lane runs alone.
+    The stacked lanes work on a gathered copy of their bank rows,
+    scattered back — with every lane's clock and counters — only once
+    every phase has succeeded, so a group that raises has changed no
+    lane and its caller can rerun it lane by lane.  Then the decisions.
+    A lane is *clean* when it is ``healthy`` with a model, an unshed
+    CNN and no recorder, and its block has no data or clock anomaly, no
+    dead-sensor row and no fallback hit on a row before its window first
+    fills — exactly when :meth:`FallDetector._decide_rows` would take
+    its fast path and decide nothing but to stage each due window as a
+    request (the fallback decides only rows the CNN cannot take).  Clean
+    lanes advance their sample and clean-streak counters, and their due
     windows are one take from the group's window history, with their
     sample indices, times and fallback hits as arrays; every other lane
     replays its decisions one by one.
     """
     d = bank.design
     for det in dets:
-        if det._held_t or det._fb is not None or det._spent is not None:
+        if det._held_t:
             det._flush_held()
-            det._flush_fallback()
-            det._flush_spent()
-    rows = np.array([det._row for det in dets])
-    state = bank.gather(rows)
-    lanes, n = exact.shape[:2]
+    exact, t = block[:, :, :6], block[:, :, 6]
     st = bank.stages
     clk = None if st is None else st.clock
     spent = None if st is None else [0.0] * len(STAGES)
@@ -1760,41 +1737,27 @@ def _ingest(bank: LaneBank, dets, exact, t) -> tuple:
     counts: dict = {}
     plans, clocks = _plan(d, dets, t, counts)
     gapped = [k for k, plan in plans.items() if plan[2] is not None]
-    # Gap interpolation starts from the block's predecessor: the carried
-    # last repaired sample, if the stream ever had one.
-    anchors = {k: (state.raw[k, 1].copy(), state.streaks[k, 0] >= 0)
-               for k in gapped}
+    if gapped:
+        kept = np.delete(np.arange(len(dets)), gapped)
+        results, staged = {}, None
+        if kept.size < _STACK_MIN_LANES:
+            gapped = range(len(dets))
+        else:
+            out, staged = _ingest(bank, [dets[k] for k in kept.tolist()],
+                                  block[kept])
+            results = {int(kept[k]): result for k, result in out.items()}
+            if staged is not None:
+                staged = staged._replace(lane=kept[staged.lane])
+        for k in gapped:
+            results[k] = _ingest_alone(dets[k], block[k])
+        return results, staged
+    rows = np.array([det._row for det in dets])
+    state = bank.gather(rows)
+    lanes, n = exact.shape[:2]
     repaired, data_anom, dead = _validate(d, state, exact, counts)
     if clk is not None:
         spent[_INGEST] += clk() - t0
-    # The reset-free lanes stream as one stack; `at` is each lane's row
-    # of that stack's window history and hits.
-    regular = np.ones(lanes, dtype=bool)
-    regular[gapped] = False
-    at = np.cumsum(regular) - 1
-    cut, hits = None, None
-    if not gapped:
-        (cut,), hits = _stream_pass(d, state, repaired, None, clk, spent)
-    elif len(gapped) < lanes:
-        sub = _BankRows(*(field[regular] for field in state))
-        (cut,), hits = _stream_pass(d, sub, repaired[regular], None, clk,
-                                    spent)
-        for field, part in zip(state, sub):
-            field[regular] = part
-    alone = {}
-    for k in gapped:
-        anchor, seen = anchors[k]
-        if clk is not None:
-            t0 = clk()
-        ex6, expansion, segments = _expand(d, repaired[k], plans[k][2],
-                                           anchor if seen else None, k,
-                                           counts, lanes)
-        if clk is not None:
-            spent[_INGEST] += clk() - t0
-        cuts, lane_hits = _stream_pass(
-            d, _BankRows(*(f[k:k + 1] for f in state)), ex6[None],
-            segments, clk, spent)
-        alone[k] = (expansion, cuts, lane_hits[0])
+    (cut,), hits = _stream_pass(d, state, repaired, None, clk, spent)
     if clk is not None:
         t0 = clk()
     clean = np.array([det._health == HEALTHY and det.model is not None
@@ -1805,16 +1768,15 @@ def _ingest(bank: LaneBank, dets, exact, t) -> tuple:
         clean &= ~data_anom.any(axis=1)
     if dead is not None:
         clean &= ~dead.any(axis=(1, 2))
-    if hits is not None:
-        # A fallback hit decides only a row whose window never filled.
-        _, _, _, first, _, warm = cut
-        cold = warm[:, None] & (np.arange(n) < first[:, None])
-        clean[regular] &= ~(hits & cold).any(axis=1)
+    # A fallback hit decides only a row whose window never filled.
+    _, _, _, first, _, warm = cut
+    cold = warm[:, None] & (np.arange(n) < first[:, None])
+    clean &= ~(hits & cold).any(axis=1)
     quiet = np.flatnonzero(clean).tolist()
     staged = bases = None
     if quiet:
         bases = [dets[k]._sample_index for k in quiet]
-        staged = _stage(d, cut, hits, np.array(quiet), at, bases, rows, t)
+        staged = _stage(d, cut, hits, np.array(quiet), bases, rows, t)
     bank.scatter(rows, state)
     for det, clock in zip(dets, clocks):
         det._last_t = clock
@@ -1828,12 +1790,6 @@ def _ingest(bank: LaneBank, dets, exact, t) -> tuple:
     if len(quiet) < lanes:
         no_anom = [False] * n
         for k in np.flatnonzero(~clean).tolist():
-            if k in alone:
-                expansion, cuts, lane_hits = alone[k]
-                p = 0
-            else:
-                expansion, cuts, lane_hits = None, (cut,), hits[at[k]]
-                p = at[k]
             plan = plans.get(k)
             if plan is None:        # the clean plan: no anomaly, no gap
                 plan = (no_anom, [None] * n if np.isnan(t[k, 0])
@@ -1843,20 +1799,17 @@ def _ingest(bank: LaneBank, dets, exact, t) -> tuple:
                     exact[k, :, :3], exact[k, :, 3:], repaired[k],
                     None if data_anom is None else data_anom[k],
                     None if dead is None else dead[k], plan[0], plan[1],
-                    expansion, *_evidence(d, cuts, p, len(lane_hits)),
-                    lane_hits.tolist())
+                    None, *_evidence(d, (cut,), k, n), hits[k].tolist())
             except Exception as exc:
                 results[k] = exc
     if clk is not None:
         spent[_DECISION] += clk() - t0
-        sizes = np.full(lanes, float(n))
-        for k, (_, _, lane_hits) in alone.items():
-            sizes[k] = len(lane_hits)
-        _charge(st, rows, spent, sizes)
+        # The lanes share a block length: each bears an even share.
+        st.pending[rows] += np.divide(spent, lanes)
     return results, staged
 
 
-def _stage(d, cut, hits, quiet, at, bases, rows, t) -> _Staged | None:
+def _stage(d, cut, hits, quiet, bases, rows, t) -> _Staged | None:
     """The due windows of the clean lanes ``quiet`` (indices into the
     group, whose sample indices were ``bases`` before the block) as a
     :class:`_Staged`, from ``cut`` and ``hits``, the group's one
@@ -1864,15 +1817,13 @@ def _stage(d, cut, hits, quiet, at, bases, rows, t) -> _Staged | None:
     history, in lane order, then row order.  ``None`` when none of them
     came due."""
     _, _, hist, first, count, _ = cut
-    src = at[quiet]
-    per_lane = count[src]
+    per_lane = count[quiet]
     if not per_lane.any():
         return None
     lane = np.repeat(quiet, per_lane)
-    src = np.repeat(src, per_lane)
     nth = np.arange(lane.size) - np.repeat(np.cumsum(per_lane) - per_lane,
                                            per_lane)
-    r = first[src] + nth * d.hop_n
+    r = first[lane] + nth * d.hop_n
     index = np.repeat(bases, per_lane) + r + 1
     # A timed lane's window carries its sample's timestamp, an untimed
     # one's the nominal time of its sample index.
@@ -1880,20 +1831,9 @@ def _stage(d, cut, hits, quiet, at, bases, rows, t) -> _Staged | None:
     time_s = np.where(np.isnan(stamp), index / d.config.fs, stamp)
     span = hist.shape[1]
     windows = np.take(hist.reshape(-1, hist.shape[2]),
-                      (src * span + r)[:, None]
+                      (lane * span + r)[:, None]
                       + np.arange(1, d.window_n + 1), axis=0)
-    return _Staged(lane, rows[lane], index, time_s, hits[src, r], windows)
-
-
-def _charge(stages: StageTimer, rows, spent: list, sizes: list) -> None:
-    """Split a stacked group's phase times (seconds, one per stage) over
-    its ``rows`` of ``stages`` with one vectorized add: validation and
-    planning evenly (the lanes share a block length), the other phases
-    by each lane's expanded rows ``sizes``."""
-    sizes = np.asarray(sizes, dtype=float)
-    costs = np.multiply.outer(sizes / sizes.sum(), spent)
-    costs[:, _INGEST] = spent[_INGEST] / len(sizes)
-    stages.pending[rows] += costs
+    return _Staged(lane, rows[lane], index, time_s, hits[lane, r], windows)
 
 
 def _validate(d, state: _BankRows, exact, counts: dict):
@@ -2083,8 +2023,7 @@ def _plan_clock(d, t_list, n: int, last_t):
     return (ts_anom, real_t, gaps), last_t, n_clock
 
 
-def _expand(d, repaired, gaps, anchor, k: int, counts: dict,
-            lanes: int):
+def _expand(d, repaired, gaps, anchor, counts: dict):
     """Expand one lane's gaps into synthesized fill rows (linear
     interpolation from the previous repaired sample, ``anchor`` for the
     block's first) and cut its block at long-gap resets; returns ``(ex6
@@ -2127,21 +2066,18 @@ def _expand(d, repaired, gaps, anchor, k: int, counts: dict,
     for name, count in (("gap_filled_samples", total_fill),
                         ("stream_resets", n_resets)):
         if count:
-            counts.setdefault(name, [0] * lanes)[k] = count
+            counts[name] = [count]
     expansion = (m, owner, is_real, fill_time) if total_fill else None
     return ex6, expansion, segments
 
 
-def _stream_pass(d, state: _BankRows, ex6, segments, clk, spent,
-                 fb=None) -> tuple:
+def _stream_pass(d, state: _BankRows, ex6, segments, clk, spent) -> tuple:
     """Fusion, the SOS filter, scaling, window assembly and the fallback
     over ``ex6 (lanes, m, 6)``, advancing ``state`` — window ring and
     cadence counters included — in place.  ``segments`` cuts a lane's
     rows at its long-gap resets, where filter, fusion and window start
-    over (``None``: one reset-free stretch).  ``fb`` is a lane alone's
-    carried fallback state (a list, used in place of
-    ``state.fb_state``).  Phase times (seconds) add to the ``spent``
-    list, one entry per stage, when ``clk`` is given.
+    over (``None``: one reset-free stretch).  Phase times (seconds) add
+    to the ``spent`` list, one entry per stage, when ``clk`` is given.
 
     Returns ``(cuts, hits)``: per reset-free stretch ``(offset, rows)
     + _window(...)`` (see :func:`_window` and :func:`_evidence`), and
@@ -2179,10 +2115,13 @@ def _stream_pass(d, state: _BankRows, ex6, segments, clk, spent,
             now = clk()
             spent[_WINDOW] += now - lap
             lap = now
-    if fb is not None:
-        hits = [d.fallback._steps(fb, ex6[0, :, :3].tolist())]
-    elif d.fallback is None:
+    if d.fallback is None:
         hits = np.zeros((lanes, m), dtype=bool)
+    elif lanes == 1:
+        # A lane alone steps its fallback on scalars, its row as a list.
+        fb = state.fb_state[0].tolist()
+        hits = [d.fallback._steps(fb, ex6[0, :, :3].tolist())]
+        state.fb_state[0] = fb
     else:
         hits = d.fallback.push_lanes(state.fb_state, ex6[:, :, :3])
     if clk is not None:

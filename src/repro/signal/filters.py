@@ -303,24 +303,9 @@ class OnlineSosFilter:
         self._zi_template = sosfilt_zi(self.sos)
         self._state: np.ndarray | None = None
 
-    @property
-    def primed(self) -> bool:
-        """True once the filter holds state from a first sample."""
-        return self._state is not None
-
     def reset(self) -> None:
         """Forget all state; the next sample re-initialises it."""
         self._state = None
-
-    def reprime(self, sample: np.ndarray) -> None:
-        """Re-initialise at steady state for ``sample`` (warm-up skip).
-
-        Used after a long stream gap: priming on the first post-gap sample
-        makes a constant input pass through transient-free, exactly like
-        the start-of-stream bootstrap.
-        """
-        sample = np.asarray(sample, dtype=float).reshape(self.channels)
-        self._state = self._zi_template * sample[:, None, None]
 
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Filter a block of samples ``(n, channels)`` (or a single ``(channels,)``)."""

@@ -118,10 +118,10 @@ class _Arm:
                 else json.dumps(self.recorder.events()))
 
 
-def _run(lanes, rounds, cfg, *, stacked, cls=FallDetector):
+def _run(lanes, rounds, cfg, *, stacked, cls=FallDetector, after_round=None):
     """Feed every lane its blocks, round by round: through one
     ``ingest_lanes`` call per round (``stacked``) or lane by lane through
-    ``push_block``."""
+    ``push_block``; ``after_round(arms)`` runs after each round."""
     arms = [_Arm(cls, cfg, recorder) for _, _, recorder in lanes]
     pos = [0] * len(lanes)
     for lengths in rounds:
@@ -138,6 +138,8 @@ def _run(lanes, rounds, cfg, *, stacked, cls=FallDetector):
         for arm, result in zip(arms, results):
             assert not isinstance(result, Exception), result
             arm.finish(result)
+        if after_round is not None:
+            after_round(arms)
     return [arm.observed() for arm in arms]
 
 
@@ -193,6 +195,99 @@ def test_faulted_lanes_stack_and_match_per_lane(scenario):
     cfg = _cfg()
     assert (_run(lanes, rounds, cfg, stacked=True)
             == _run(lanes, rounds, cfg, stacked=False))
+
+
+#: Aligned 20-row rounds fed to a group holding one gapped lane.
+_GAP_ROUNDS = 15
+
+
+def _gapped_rounds(scenario):
+    """The rounds in which stream 0 faulted by ``scenario``, fed in
+    20-row blocks, brings gap fills or a long-gap reset."""
+    t = _stream(0, scenario)[2][:20 * _GAP_ROUNDS]
+    steps = np.rint(np.diff(t) * _cfg().fs)
+    return {(i + 1) // 20 for i in np.flatnonzero(steps >= 2).tolist()}
+
+
+def _record_lone(monkeypatch):
+    """The detector of every ``_ingest_one`` call, in order."""
+    seen = []
+    original = detector_module._ingest_one
+
+    def recording(det, *args):
+        seen.append(det)
+        return original(det, *args)
+
+    monkeypatch.setattr(detector_module, "_ingest_one", recording)
+    return seen
+
+
+@pytest.mark.parametrize("scenario", ["burst_gap", "dropout"])
+def test_gapped_lane_leaves_the_stack_and_runs_alone_once(monkeypatch,
+                                                          scenario):
+    """One lane's blocks bring gap fills or a long-gap reset, in a group
+    of ``_STACK_MIN_LANES + 1`` aligned lanes: in each such round that
+    lane runs ``_ingest_one`` exactly once and the others stack in one
+    ``update_lanes`` call, and every lane still equals per-lane
+    ``push_block`` and the oracle."""
+    gapped = _gapped_rounds(scenario)
+    assert gapped
+    lanes = [(0, scenario, True)] + [
+        (i, None, i % 2 == 0)
+        for i in range(1, detector_module._STACK_MIN_LANES + 1)]
+    rounds = [[20] * len(lanes)] * _GAP_ROUNDS
+    cfg = _cfg()
+    lone = _record_lone(monkeypatch)
+    fused = _count_calls(monkeypatch, ComplementaryFilter, "update_lanes")
+    tally = []
+
+    def after_round(arms):
+        expected = [arms[0].detector] if len(tally) in gapped else []
+        tally.append((lone == expected, len(fused)))
+        lone.clear()
+        fused.clear()
+
+    stacked = _run(lanes, rounds, cfg, stacked=True, after_round=after_round)
+    assert tally == [(True, 1)] * _GAP_ROUNDS
+    assert stacked == _run(lanes, rounds, cfg, stacked=False)
+    assert stacked == _run(lanes, rounds, cfg, stacked=False,
+                           cls=ScalarDetector)
+
+
+@pytest.mark.parametrize("scenario", ["burst_gap", "dropout"])
+def test_gapped_lane_runs_once_when_its_group_raises(monkeypatch, scenario):
+    """As above, with another lane's fusion broken from the second round
+    on (an untimestamped lane, so no long gap of its own resets it):
+    every stacked pass raises and its group reruns lane by lane, yet the
+    gapped lane is ingested once a round, and its clock, counters,
+    detections and recorder events equal its own ``push_block`` run's."""
+    gapped = _gapped_rounds(scenario)
+    _break_fusion(monkeypatch)
+    lone = _record_lone(monkeypatch)
+    cfg = _cfg()
+    arms = [_Arm(FallDetector, cfg, recorder=i == 0)
+            for i in range(detector_module._STACK_MIN_LANES + 1)]
+    twin = _Arm(FallDetector, cfg, recorder=True)
+    for r in range(_GAP_ROUNDS):
+        if r == 1:
+            det = arms[2].detector
+            det._bank.angles[det._row] = _LOST
+        blocks = []
+        for i, arm in enumerate(arms):
+            accel, gyro, t = _stream(i, scenario if i == 0 else None)
+            sl = slice(20 * r, 20 * (r + 1))
+            blocks.append((arm.detector, accel[sl], gyro[sl],
+                           None if i == 2 else t[sl]))
+        lone.clear()
+        results = ingest_lanes(blocks)
+        assert lone.count(arms[0].detector) == (r >= 1 or r in gapped), r
+        assert isinstance(results[2], RuntimeError) == (r >= 1), r
+        arms[0].finish(results[0])
+        twin.finish(twin.detector.push_block(*blocks[0][1:]))
+    gap, alone = arms[0].detector, twin.detector
+    assert gap.gap_filled_samples + gap.stream_resets > 0
+    assert gap._last_t == alone._last_t
+    assert arms[0].observed() == twin.observed()
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -448,8 +543,7 @@ def test_engine_lifecycle_keeps_every_surviving_stream_exact():
 
 
 def _fallback_state(det):
-    """The detector's fallback smoother and watch, wherever it is held."""
-    det._flush_fallback()
+    """The detector's fallback smoother and watch: its bank row."""
     return det._views.fb_state.tobytes()
 
 
@@ -476,15 +570,34 @@ def test_engine_takes_sessions_built_after_the_design_cache_cleared():
     assert hits == serve(clear=False)[1]
 
 
-def test_reset_drops_the_fallback_state_a_lane_alone_carried():
-    """A detector that ran alone holds its fallback state as a list
-    between passes; ``reset`` leaves it indistinguishable from a fresh
-    detector, that state included."""
+def test_reset_drops_the_fallback_state_a_lane_alone_carried(monkeypatch):
+    """A detector running alone keeps its fallback state in its bank
+    row: after every ``push`` and ``push_block`` (and the rows a push
+    held, once ingested) the row equals that of twins fed the same
+    blocks as one stacked group, and ``reset`` leaves it
+    indistinguishable from a fresh detector's."""
     accel, gyro, t = _stream(0, None)
-    det = FallDetector(_TanhModel(), _cfg(), registry=MetricsRegistry())
-    det.push_block(accel[:60], gyro[:60], t[:60])
-    fresh = FallDetector(_TanhModel(), _cfg(), registry=MetricsRegistry())
+    cfg = _cfg()
+    det = FallDetector(_TanhModel(), cfg, registry=MetricsRegistry())
+    twins = [FallDetector(_TanhModel(), cfg, registry=MetricsRegistry())
+             for _ in range(detector_module._STACK_MIN_LANES)]
+    stacked = _count_calls(monkeypatch, ComplementaryFilter, "update_lanes")
+    lo = 0
+    for n in [60, 1, 1, 1, 7, 1, 20, 1, 1, 13] * 4:
+        sl = slice(lo, lo + n)
+        lo += n
+        if n == 1:
+            det.push(accel[lo - 1], gyro[lo - 1], t[lo - 1])
+        else:
+            det.push_block(accel[sl], gyro[sl], t[sl])
+        for twin, (_, requests) in zip(twins, ingest_lanes(
+                [(twin, accel[sl], gyro[sl], t[sl]) for twin in twins])):
+            for req in requests:
+                twin.complete(req, 0.0, latency_ms=0.5)
+        det.samples_seen                # ingests any row the push held
+        assert _fallback_state(det) == _fallback_state(twins[0]), lo
+    assert len(stacked) == 40
+    fresh = FallDetector(_TanhModel(), cfg, registry=MetricsRegistry())
     assert _fallback_state(det) != _fallback_state(fresh)
-    det.push_block(accel[60:80], gyro[60:80], t[60:80])
     det.reset()
     assert _fallback_state(det) == _fallback_state(fresh)

@@ -201,16 +201,6 @@ class TestWarmUp:
         return OnlineSosFilter(butter_lowpass_sos(4, 5.0, 100.0),
                                channels=channels)
 
-    def test_primed_tracks_state_lifecycle(self):
-        online = self._filter()
-        assert not online.primed
-        online.process(np.ones(3))
-        assert online.primed
-        online.reset()
-        assert not online.primed
-        online.reprime(np.ones(3))
-        assert online.primed
-
     def test_reset_then_constant_passes_transient_free(self):
         online = self._filter(channels=1)
         rng = np.random.default_rng(0)
@@ -218,15 +208,6 @@ class TestWarmUp:
         online.reset()
         y = online.process(np.full((30, 1), 2.5))
         np.testing.assert_allclose(y, 2.5, atol=1e-10)
-
-    def test_reprime_skips_the_post_gap_transient(self):
-        online = self._filter(channels=1)
-        online.process(np.full((50, 1), 5.0))       # settled at 5
-        # After a long gap the stream resumes at a very different level;
-        # without re-priming the old state would ring for many samples.
-        online.reprime(np.array([1.0]))
-        y = online.process(np.full((20, 1), 1.0))
-        np.testing.assert_allclose(y, 1.0, atol=1e-10)
 
     def test_nonfinite_state_self_heals(self):
         online = self._filter(channels=1)
@@ -249,13 +230,12 @@ _STREAM_OP = st.one_of(
     # (op, rows, NaN row index — outside the block means no NaN)
     st.tuples(st.just("process"), st.integers(1, 30), st.integers(-1, 40)),
     st.tuples(st.just("reset"), st.just(0), st.just(-1)),
-    st.tuples(st.just("reprime"), st.just(0), st.just(-1)),
 )
 
 
 class TestOnlineMatchesScipy:
     """``OnlineSosFilter`` against public ``scipy.signal.sosfilt``: each
-    primed segment of a stream — from a first sample, a ``reprime`` or a
+    primed segment of a stream — from a first sample, a reset or a
     non-finite self-heal up to the next restart — equals one scipy pass
     over that segment bit for bit, in output and in state.  Also pins the
     private compiled kernel the filter calls to the public API."""
@@ -275,11 +255,6 @@ class TestOnlineMatchesScipy:
             if op == "reset":
                 online.reset()
                 zi, rows = None, []
-                continue
-            if op == "reprime":
-                sample = rng.normal(size=channels) * 5.0
-                online.reprime(sample)
-                zi, rows = template * sample, []
                 continue
             block = rng.normal(size=(n, channels)) * 5.0 + 9.81
             if nan_row < n:
